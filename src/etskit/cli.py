@@ -93,7 +93,7 @@ def cmd_search(args) -> int:
     except AlistParseError as exc:
         print(f"error: {args.alist}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report, frontier = find_etss(
+    report, _ = find_etss(
         graph,
         k=args.k,
         max_len=args.max_cycle_len,
@@ -103,7 +103,7 @@ def cmd_search(args) -> int:
     )
     Path(args.out).write_text(report.to_json())
     if args.sets_out:
-        lines = frontier.export_lines(graph)
+        lines = report.export_lines()
         Path(args.sets_out).write_text("\n".join(lines) + ("\n" if lines else ""))
     if args.json:
         sys.stdout.write(report.to_json())

@@ -8,6 +8,12 @@ expansion below is complete: no candidate outside that scan exists.  The
 scan walks the unsatisfied-check adjacency and therefore touches at most
 b*(d_r - 1) distinct variables.
 
+Cycles up to length L are enumerated by a DFS from each variable ``start``
+over the nodes above it, pruned by BFS distances: a path of p nodes is
+extended to w only if p + dist(start, w) <= L.  The arc that would close
+the cycle from w is at least dist(start, w) long, so a pruned path can
+close no cycle of length <= L and no cycle is lost.
+
 A structure is labeled with the smallest Tanner cycle length x such that
 expanding all its length-x cycle node sets reaches the full structure; NA
 when no cycle length works (such structures are invisible to cycle-seeded
@@ -66,18 +72,6 @@ class ExpansionFrontier:
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.by_size.values())
-
-    def export_lines(self, graph: TannerGraph) -> list[str]:
-        """One line per set: ``a<TAB>b<TAB>comma-separated members``."""
-        from etskit.tanner import gamma_split
-
-        lines = []
-        for members in self.all_sets():
-            b = len(gamma_split(graph, members).odd)
-            lines.append(
-                f"{len(members)}\t{b}\t{','.join(str(v) for v in members)}"
-            )
-        return lines
 
 
 def _odd_even_masks(graph: TannerGraph, members: tuple[int, ...]):
@@ -170,6 +164,16 @@ def enumerate_tanner_cycles(
 
     A length-2m cycle yields its m-element variable set; per length, node
     sets are deduplicated (two cycles on the same variables count once).
+
+    Each cycle is found once from its smallest node ``start`` (always a
+    variable, since check ids are ``c + num_var``), by a DFS over nodes
+    ``> start``.  A BFS first gives ``dist[w]``, the distance from ``start``
+    to ``w`` within ``{start} ∪ {nodes > start}``, up to ``max_len // 2``
+    levels.  A path of ``p`` nodes is extended to ``w`` only if
+    ``p + dist[w] <= max_len``.  No cycle is lost: the arc from ``w`` back
+    to ``start`` also runs through nodes ``> start``, so it is at least
+    ``dist[w]`` long, and a cycle closed from the extended path has at
+    least ``p + dist[w]`` edges.
     """
     girth = graph.girth
     if girth != float("inf"):
@@ -181,24 +185,30 @@ def enumerate_tanner_cycles(
     adj = [tuple(c + nv for c in row) for row in graph.var_adj]
     adj += [graph.chk_adj[c] for c in range(graph.num_chk)]
     found: dict[int, set[tuple[int, ...]]] = {}
-    max_nodes = max_len  # a length-L cycle visits L nodes
+    far = max_len + 1  # the distance of every node the BFS does not reach
     for start in range(nv):
-        stack = [(start, frozenset([start]), (start,))]
+        dist = [far] * len(adj)
+        dist[start] = 0
+        layer = [start]
+        for depth in range(1, max_len // 2 + 1):
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if w > start and dist[w] == far:
+                        dist[w] = depth
+                        nxt.append(w)
+            layer = nxt
+        stack = [(start, (start,))]
         while stack:
-            v, visited, path = stack.pop()
+            v, path = stack.pop()
+            p = len(path)
             for w in adj[v]:
-                if w == start and len(path) >= 4 and path[1] < path[-1]:
-                    vars_only = tuple(sorted(u for u in path if u < nv))
-                    found.setdefault(len(path), set()).add(vars_only)
-                if w <= start or w in visited:
-                    continue
-                if len(path) < max_nodes:
-                    stack.append((w, visited | {w}, path + (w,)))
-    return {
-        length: sorted(found[length])
-        for length in sorted(found)
-        if length <= max_len
-    }
+                if w == start:
+                    if p >= 4 and path[1] < path[-1]:
+                        found.setdefault(p, set()).add(tuple(sorted(path[::2])))
+                elif p + dist[w] <= max_len and w not in path:
+                    stack.append((w, path + (w,)))
+    return {length: sorted(found[length]) for length in sorted(found)}
 
 
 def classify_lss(entry: CatalogEntry) -> LssLabel:

@@ -12,10 +12,12 @@ substituted.
 
 from __future__ import annotations
 
+import heapq
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 
 from etskit.lss import ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
 from etskit.structgen import ClassSpec
@@ -29,7 +31,6 @@ GUARANTEED_PARTIAL = "guaranteed-partial"
 NONEXISTENT = "nonexistent"
 UNCOVERED = "uncovered"
 UNCHARACTERIZED = "uncharacterized"
-CONFLICT = "conflict"
 
 
 def coverage_query(spec: ClassSpec, max_len: int) -> str:
@@ -95,6 +96,19 @@ class SearchReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
+    def export_lines(self) -> list[str]:
+        """One line per set, by size then members: ``a<TAB>b<TAB>members``.
+
+        The classes of one size are merged, so the ``b`` of each set comes
+        from its class and is not computed again.
+        """
+        lines = []
+        for a, group in groupby(self.classes, key=lambda c: c.a):
+            tagged = [zip(c.sets, repeat(c.b)) for c in group]
+            for members, b in heapq.merge(*tagged):
+                lines.append(f"{a}\t{b}\t{','.join(str(v) for v in members)}")
+        return lines
+
 
 def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
     table = get_table(graph.d_l, graph.girth)
@@ -103,8 +117,10 @@ def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
     spec = ClassSpec(d_l=graph.d_l, g=int(graph.girth), a=a, b=b)
     verdict = coverage_query(spec, max_len)
     if verdict == NONEXISTENT:
-        # a set of a provably impossible class was found: internal error
-        return CONFLICT
+        raise RuntimeError(
+            f"internal error: found a set of class ({a},{b}), which the "
+            f"d_l={graph.d_l} girth-{spec.g} table proves nonexistent"
+        )
     return verdict
 
 

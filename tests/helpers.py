@@ -81,6 +81,45 @@ def tutte_coxeter() -> TannerGraph:
     return TannerGraph.from_var_adj(rows, 15)
 
 
+def unpruned_tanner_cycles(
+    graph: TannerGraph, max_len: int
+) -> dict[int, list[tuple[int, ...]]]:
+    """Variable-node sets of all cycles of length girth..max_len, by a DFS
+    with no distance pruning: the oracle for ``lss.enumerate_tanner_cycles``.
+
+    A length-2m cycle yields its m-element variable set; per length, node
+    sets are deduplicated (two cycles on the same variables count once).
+    """
+    girth = graph.girth
+    if girth != float("inf"):
+        if max_len < girth:
+            raise ValueError(f"max_len {max_len} below girth {girth}")
+        if max_len > girth + 12:
+            raise ValueError(f"max_len {max_len} above girth+12 cap")
+    nv = graph.num_var
+    adj = [tuple(c + nv for c in row) for row in graph.var_adj]
+    adj += [graph.chk_adj[c] for c in range(graph.num_chk)]
+    found: dict[int, set[tuple[int, ...]]] = {}
+    max_nodes = max_len  # a length-L cycle visits L nodes
+    for start in range(nv):
+        stack = [(start, frozenset([start]), (start,))]
+        while stack:
+            v, visited, path = stack.pop()
+            for w in adj[v]:
+                if w == start and len(path) >= 4 and path[1] < path[-1]:
+                    vars_only = tuple(sorted(u for u in path if u < nv))
+                    found.setdefault(len(path), set()).add(vars_only)
+                if w <= start or w in visited:
+                    continue
+                if len(path) < max_nodes:
+                    stack.append((w, visited | {w}, path + (w,)))
+    return {
+        length: sorted(found[length])
+        for length in sorted(found)
+        if length <= max_len
+    }
+
+
 def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:
     """Naive per-check degree count over the induced subgraph."""
     members = set(members)

@@ -5,7 +5,7 @@ import pytest
 
 from etskit.cli import main
 from etskit.normal import from_normal
-from helpers import random_tanner, to_alist
+from helpers import brute_gamma, random_tanner, to_alist
 
 
 def run(capsys, *argv):
@@ -166,5 +166,9 @@ def test_search_sets_out(tmp_path, capsys, ets54):
     from etskit.search import find_etss
 
     _, frontier = find_etss(ets54, k=5, max_len=6)
-    assert tsv.read_text().splitlines() == frontier.export_lines(ets54)
+    expected = [
+        f"{len(m)}\t{len(brute_gamma(ets54, m)[0])}\t{','.join(map(str, m))}"
+        for m in frontier.all_sets()
+    ]
+    assert tsv.read_text().splitlines() == expected
     assert any(ln.startswith("5\t4\t") for ln in tsv.read_text().splitlines())

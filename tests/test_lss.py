@@ -13,7 +13,13 @@ from etskit.lss import (
 from etskit.normal import from_normal, normal_cycle_lengths
 from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
-from helpers import assert_nested, brute_one_expansion, random_tanner
+from helpers import (
+    assert_nested,
+    brute_one_expansion,
+    random_tanner,
+    tutte_coxeter,
+    unpruned_tanner_cycles,
+)
 
 
 def test_one_expansion_ets62(ets62_normal):
@@ -156,6 +162,33 @@ def test_enumerate_cycles_dedupes_node_sets():
     assert len(census.node_sets(8)) == 1
     g = from_normal(k4, 3)
     assert len(enumerate_tanner_cycles(g, 8)[8]) == 1
+
+
+def test_enumerate_cycles_matches_unpruned_oracle():
+    codes = [random_tanner(30, 3, 30, seed=s, girth_exactly=6) for s in (1, 2, 3)]
+    codes.append(random_tanner(24, 4, 36, seed=1, girth_exactly=6))
+    codes += [random_tanner(30, 3, 60, seed=s, girth_exactly=8) for s in (1, 2, 3)]
+    codes.append(tutte_coxeter())
+    assert {g.girth for g in codes} == {6, 8}
+    for g in codes:
+        girth = int(g.girth)
+        for max_len in range(girth, girth + 7, 2):
+            assert enumerate_tanner_cycles(g, max_len) == unpruned_tanner_cycles(
+                g, max_len
+            ), (g.key, max_len)
+
+
+def test_enumerate_cycles_window_invariance():
+    # the pruning depends on max_len; the cycles of each length must not
+    for g in (
+        random_tanner(30, 3, 30, seed=1, girth_exactly=6),
+        random_tanner(30, 3, 60, seed=3, girth_exactly=8),
+    ):
+        girth = int(g.girth)
+        wide = enumerate_tanner_cycles(g, girth + 6)
+        assert sorted(wide) == list(range(girth, girth + 7, 2))
+        for length in wide:
+            assert enumerate_tanner_cycles(g, length)[length] == wide[length]
 
 
 def test_classify_lss_6_6_catalog(catalogs):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from etskit import cli, search
 from etskit.normal import from_normal
 from etskit.search import (
     GUARANTEED,
@@ -14,7 +15,7 @@ from etskit.search import (
 from etskit.structgen import ClassSpec
 from etskit.tables import NA, get_table
 from etskit.tanner import TannerGraph, classify
-from helpers import pool_ets_up_to, random_tanner, tutte_coxeter
+from helpers import pool_ets_up_to, random_tanner, to_alist, tutte_coxeter
 
 
 def test_coverage_examples():
@@ -158,3 +159,18 @@ def test_girth_above_tables_is_uncharacterized():
     g = TannerGraph.from_var_adj(rows, 18)
     assert g.girth == 18
     assert get_table(3, g.girth) is None
+
+
+def test_set_in_nonexistent_class_raises(monkeypatch, ets62_normal, tmp_path):
+    # a set found in a class the table proves empty is an internal error,
+    # never a verdict in the report, and not a usage error of the CLI
+    monkeypatch.setattr(search, "coverage_query", lambda spec, max_len: NONEXISTENT)
+    g = from_normal(ets62_normal, 4)
+    # (4,4) is the first class found that the d_l=4 table covers
+    with pytest.raises(RuntimeError, match=r"class \(4,4\)"):
+        find_etss(g, k=6, max_len=6)
+    alist = tmp_path / "code.alist"
+    alist.write_text(to_alist(g))
+    with pytest.raises(RuntimeError, match="nonexistent"):
+        cli.main(["search", "--alist", str(alist), "--k", "6",
+                  "--max-cycle-len", "6", "--out", str(tmp_path / "r.json")])
