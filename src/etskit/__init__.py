@@ -5,7 +5,6 @@ from etskit.canon import CanonicalForm, are_isomorphic_oracle, canonical_form
 from etskit.kernel import backend as kernel_backend
 from etskit.lss import (
     ExpansionFrontier,
-    LssLabel,
     classify_lss,
     enumerate_tanner_cycles,
     expand_to_k,
@@ -49,7 +48,6 @@ __all__ = [
     "ClassSpec",
     "ExpansionFrontier",
     "GammaSplit",
-    "LssLabel",
     "NormalGraph",
     "SearchReport",
     "TannerGraph",

@@ -15,30 +15,34 @@ the cycle from w is at least dist(start, w) long, so a pruned path can
 close no cycle of length <= L and no cycle is lost.
 
 A structure is labeled with the smallest Tanner cycle length x such that
-expanding all its length-x cycle node sets reaches the full structure; NA
-when no cycle length works (such structures are invisible to cycle-seeded
-search by construction).
+layered one-node expansion grows one of its length-x cycle node sets into
+the full structure; NA when no cycle length works (such structures are
+invisible to cycle-seeded search by construction).
+
+The label is computed on the normal graph, with no Tanner round trip.  In
+the structure's own Tanner graph a node v outside a subset S has one
+degree-2 check per neighbour and degree-1 checks otherwise.  The odd checks
+of S that touch v are exactly v's edges into S, and no check of v can be a
+satisfied check of S, since both nodes of a satisfied check lie in S.  So
+the one-step expansion admits v exactly when v has at least two neighbours
+in S.  That rule is monotone: adding nodes to S never disables an admissible
+node.  Any layered chain from a seed therefore stays inside the greedy
+closure of the seed under the rule, and the closure, taken one node at a
+time, is itself a layered chain.  The full structure is reachable from a
+seed exactly when the seed's closure is the full node set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import replace
+from typing import Iterable, Sequence
 
-from etskit.normal import CycleCensus, NormalGraph, from_normal
-from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue
+from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
+from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
+from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue, fork_pool_map
 from etskit.tanner import Members, TannerGraph, classify, members_of
 
 MAX_K = 12
-
-
-@dataclass(frozen=True)
-class LssLabel:
-    value: LssLabelValue  # Tanner cycle length, or NA
-
-    @property
-    def is_na(self) -> bool:
-        return self.value == NA
 
 
 class ExpansionFrontier:
@@ -211,50 +215,44 @@ def enumerate_tanner_cycles(
     return {length: sorted(found[length]) for length in sorted(found)}
 
 
-def classify_lss(entry: CatalogEntry) -> LssLabel:
+def classify_lss(entry: CatalogEntry) -> LssLabelValue:
     """Smallest Tanner cycle length whose cycles expand to the structure."""
-    structure = entry.normal_graph()
-    return lss_label_of(structure, entry.spec.d_l)
+    return lss_label_of(entry.normal_graph(), entry.spec.d_l)
 
 
-def lss_label_of(structure: NormalGraph, d_l: int) -> LssLabel:
-    graph = from_normal(structure, d_l)
-    full = tuple(range(structure.n))
+def _closure(adj: Sequence[int], members: tuple[int, ...]) -> int:
+    """Bitmask of ``members`` grown by every node with two neighbours in it."""
+    s = 0
+    for v in members:
+        s |= 1 << v
+    grown = True
+    while grown:
+        grown = False
+        for v, nbrs in enumerate(adj):
+            if not s >> v & 1 and (nbrs & s).bit_count() >= 2:
+                s |= 1 << v
+                grown = True
+    return s
+
+
+def lss_label_of(structure: NormalGraph, d_l: int) -> LssLabelValue:
+    check_degree_cap(structure, d_l)
+    adj = structure.adj_masks
+    full = (1 << structure.n) - 1
     for normal_len in range(3, structure.n + 1):
         census = CycleCensus(structure, max_normal_len=normal_len)
-        seeds = census.node_sets(2 * normal_len)
-        seeds = [s for s in seeds if len(s) == normal_len]
-        if not seeds:
-            continue
-        for seed in seeds:
-            rec = classify(graph, seed)
-            assert rec.elementary and rec.in_t, "cycle seed must be in the pool"
-        frontier = expand_to_k(graph, seeds, k=structure.n, _validate=False)
-        if full in frontier:
-            return LssLabel(2 * normal_len)
-    return LssLabel(NA)
+        for seed in census.node_sets(2 * normal_len):
+            if _closure(adj, seed) == full:
+                return 2 * normal_len
+    return NA
 
 
 def label_catalog(catalog: Catalog, threads: int = 1) -> Catalog:
     """Catalog with every entry labeled; deterministic across thread counts."""
-    from dataclasses import replace
-
     entries = catalog.entries
     if threads > 1 and len(entries) >= 64:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform dependent
-            ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-            labels = list(pool.map(_label_worker, entries, chunksize=16))
+        labels = fork_pool_map(classify_lss, entries, threads, chunksize=16)
     else:
-        labels = [classify_lss(e).value for e in entries]
+        labels = [classify_lss(e) for e in entries]
     labeled = [replace(e, lss=val) for e, val in zip(entries, labels)]
     return Catalog(spec=catalog.spec, entries=labeled, reason=catalog.reason)
-
-
-def _label_worker(entry: CatalogEntry) -> LssLabelValue:
-    return classify_lss(entry).value

@@ -20,6 +20,21 @@ from etskit.errors import GraphConstraintError
 from etskit.tanner import Members, TannerGraph, classify, members_of
 
 
+def mask_connected(adj: Sequence[int]) -> bool:
+    """Whether the graph of the per-node neighbour bitmasks is connected."""
+    seen = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        new = adj[v] & ~seen
+        while new:
+            w = (new & -new).bit_length() - 1
+            new &= new - 1
+            seen |= 1 << w
+            stack.append(w)
+    return seen == (1 << len(adj)) - 1
+
+
 @dataclass(frozen=True)
 class NormalGraph:
     """Connected simple undirected graph on nodes ``0..n-1``."""
@@ -40,27 +55,8 @@ class NormalGraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         if n < 1:
             raise GraphConstraintError("normal graph needs at least one node")
-        if not self._is_connected():
+        if not mask_connected(self.adj_masks):
             raise GraphConstraintError("normal graph must be connected")
-
-    def _is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = [0] * self.n
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            new = adj[v] & ~seen
-            while new:
-                w = (new & -new).bit_length() - 1
-                new &= new - 1
-                seen |= 1 << w
-                stack.append(w)
-        return seen == (1 << self.n) - 1
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -108,17 +104,22 @@ def to_normal(graph: TannerGraph, s: Members) -> NormalGraph:
     return NormalGraph(len(members), edges)
 
 
+def check_degree_cap(n: NormalGraph, d_l: int) -> None:
+    """Reject a structure with a node above left degree ``d_l``."""
+    for v, deg in enumerate(n.degrees):
+        if deg > d_l:
+            raise GraphConstraintError(
+                f"node {v} has degree {deg}, above left degree {d_l}"
+            )
+
+
 def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     """Expand a normal graph back to its Tanner form for left degree ``d_l``.
 
     Check ids are deterministic: one degree-2 check per edge in sorted edge
     order, then the degree-1 checks in node order, so round trips are exact.
     """
-    for v, deg in enumerate(n.degrees):
-        if deg > d_l:
-            raise GraphConstraintError(
-                f"node {v} has degree {deg}, above left degree {d_l}"
-            )
+    check_degree_cap(n, d_l)
     var_adj = [[] for _ in range(n.n)]
     for cid, (i, j) in enumerate(n.edges):
         var_adj[i].append(cid)
@@ -133,11 +134,7 @@ def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
 
 def normal_b(n: NormalGraph, d_l: int) -> int:
     """Unsatisfied-check count of the expanded set: sum of (d_l - deg)."""
-    for v, deg in enumerate(n.degrees):
-        if deg > d_l:
-            raise GraphConstraintError(
-                f"node {v} has degree {deg}, above left degree {d_l}"
-            )
+    check_degree_cap(n, d_l)
     return n.n * d_l - 2 * n.m
 
 

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import heapq
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 
 from etskit.lss import ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
-from etskit.structgen import ClassSpec
+from etskit.structgen import ClassSpec, fork_pool_map
 from etskit.tables import NA, get_table
 from etskit.tanner import TannerGraph, classify, gamma_split
 
@@ -155,20 +153,13 @@ def find_etss(
                 seeds.append(members)
 
     if threads > 1 and len(seeds) > 64:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform dependent
-            ctx = multiprocessing.get_context()
-        chunks = [seeds[i::threads] for i in range(threads)]
+        chunks = [(graph, seeds[i::threads], k) for i in range(threads)]
         frontier = ExpansionFrontier(k)
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-            for by_size, chunk_seeds in pool.map(
-                _expand_chunk, [(graph, chunk, k) for chunk in chunks]
-            ):
-                for layer in by_size.values():
-                    for members in layer:
-                        frontier.add(members)
-                frontier.seeds.update(chunk_seeds)
+        for by_size, chunk_seeds in fork_pool_map(_expand_chunk, chunks, threads):
+            for layer in by_size.values():
+                for members in layer:
+                    frontier.add(members)
+            frontier.seeds.update(chunk_seeds)
     else:
         frontier = expand_to_k(graph, seeds, k, _validate=False)
 

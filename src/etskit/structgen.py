@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from etskit.canon import CanonicalForm, canonical_masks
 from etskit.errors import GraphConstraintError
-from etskit.normal import NormalGraph
+from etskit.normal import NormalGraph, mask_connected
 
 NA = "NA"
 MIN_DL, MAX_DL = 3, 6
@@ -250,24 +250,20 @@ def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
     return finals
 
 
+def fork_pool_map(fn, items, threads: int, chunksize: int = 1) -> list:
+    """``list(map(fn, items))`` on ``threads`` worker processes, forked
+    where the platform allows it, in input order."""
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform dependent
+        ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 def _subtree_worker(args):
     task, adj, k, form = args
     return _run_subtree(task, adj, k, form)
-
-
-def _mask_connected(adj) -> bool:
-    n = len(adj)
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        new = adj[v] & ~seen
-        while new:
-            w = (new & -new).bit_length() - 1
-            new &= new - 1
-            seen |= 1 << w
-            stack.append(w)
-    return seen == (1 << n) - 1
 
 
 def generate_forms(
@@ -319,26 +315,21 @@ def generate_forms(
                 break
         raw = []
         if frontier:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - platform dependent
-                ctx = multiprocessing.get_context()
-            with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-                args = [(task, adj, k, form) for adj, k, form in frontier]
-                for part in pool.map(_subtree_worker, args, chunksize=1):
-                    raw.extend(part)
+            args = [(task, adj, k, form) for adj, k, form in frontier]
+            for part in fork_pool_map(_subtree_worker, args, threads):
+                raw.extend(part)
 
     forms = []
     if complemented:
         full = (1 << a) - 1
         for adj, _ in raw:
             orig = [full & ~x & ~(1 << v) for v, x in enumerate(adj)]
-            if not _mask_connected(orig):
+            if not mask_connected(orig):
                 continue
             form, _ = canonical_masks(a, orig)
             forms.append(form)
     else:
-        forms = [form for adj, form in raw if _mask_connected(adj)]
+        forms = [form for adj, form in raw if mask_connected(adj)]
     forms.sort()
     return [CanonicalForm(f) for f in forms]
 

@@ -290,9 +290,9 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
         pos += 1
         return item
 
-    lineno, header = take("header 'n m'")
+    header_line, header = take("header 'n m'")
     if len(header) != 2 or header[0] <= 0 or header[1] <= 0:
-        raise AlistParseError(lineno, "malformed header, expected 'n m'")
+        raise AlistParseError(header_line, "malformed header, expected 'n m'")
     n, m = header
     lineno, maxdeg = take("max degrees")
     if len(maxdeg) != 2:
@@ -318,9 +318,11 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
                 raise AlistParseError(lineno, f"check index {c} out of range 1..{m}")
         if len(set(ids)) != len(ids):
             raise AlistParseError(lineno, f"parallel edge: variable {v + 1} repeats a check")
+        if var_adj and len(ids) != len(var_adj[0]):
+            raise AlistParseError(lineno, f"non-uniform variable degree: variable {v + 1}")
         var_adj.append(tuple(sorted(c - 1 for c in ids)))
 
-    chk_from_file: list[set[int]] = []
+    chk_from_file: list[tuple[int, set[int]]] = []
     for c in range(m):
         lineno, entries = take(f"neighbor list of check {c + 1}")
         ids = [e for e in entries if e != 0]
@@ -334,30 +336,20 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
                 raise AlistParseError(lineno, f"variable index {v} out of range 1..{n}")
         if len(set(ids)) != len(ids):
             raise AlistParseError(lineno, f"parallel edge: check {c + 1} repeats a variable")
-        chk_from_file.append({v - 1 for v in ids})
+        chk_from_file.append((lineno, {v - 1 for v in ids}))
 
     derived = [set() for _ in range(m)]
     for v, row in enumerate(var_adj):
         for c in row:
             derived[c].add(v)
-    for c in range(m):
-        if derived[c] != chk_from_file[c]:
+    for c, (lineno, listed) in enumerate(chk_from_file):
+        if derived[c] != listed:
             raise AlistParseError(
-                4 + n + 1 + c,
-                f"check {c + 1} neighbor list disagrees with variable lists",
+                lineno, f"check {c + 1} neighbor list disagrees with variable lists"
             )
 
-    d_l = len(var_adj[0]) if var_adj else 0
-    for v, row in enumerate(var_adj):
-        if len(row) != d_l:
-            raise AlistParseError(
-                4 + 1 + v, f"non-uniform variable degree: variable {v + 1}"
-            )
-    if d_l < MIN_LEFT_DEGREE:
-        raise AlistParseError(
-            5, f"left degree {d_l} below minimum {MIN_LEFT_DEGREE} supported here"
-        )
-    g = _girth_of(var_adj, m)
-    if g < MIN_GIRTH:
-        raise AlistParseError(1, f"girth {g} below minimum {MIN_GIRTH}")
-    return TannerGraph.from_var_adj(var_adj, m)
+    try:
+        return TannerGraph.from_var_adj(var_adj, m)
+    except GraphConstraintError as exc:
+        # left degree below the minimum, or girth below the minimum
+        raise AlistParseError(header_line, str(exc)) from exc

@@ -8,7 +8,9 @@ import itertools
 import random
 from collections import Counter
 
-from etskit.normal import NormalGraph
+from etskit.lss import expand_to_k
+from etskit.normal import CycleCensus, NormalGraph, from_normal
+from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
 
 
@@ -118,6 +120,26 @@ def unpruned_tanner_cycles(
         for length in sorted(found)
         if length <= max_len
     }
+
+
+def tanner_lss_label(structure: NormalGraph, d_l: int):
+    """LSS label by layered expansion on the structure's Tanner graph: the
+    oracle for the normal-graph closure of ``lss.lss_label_of``."""
+    graph = from_normal(structure, d_l)
+    full = tuple(range(structure.n))
+    for normal_len in range(3, structure.n + 1):
+        census = CycleCensus(structure, max_normal_len=normal_len)
+        seeds = census.node_sets(2 * normal_len)
+        seeds = [s for s in seeds if len(s) == normal_len]
+        if not seeds:
+            continue
+        for seed in seeds:
+            rec = classify(graph, seed)
+            assert rec.elementary and rec.in_t, "cycle seed must be in the pool"
+        frontier = expand_to_k(graph, seeds, k=structure.n, _validate=False)
+        if full in frontier:
+            return 2 * normal_len
+    return NA
 
 
 def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:

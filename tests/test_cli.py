@@ -74,6 +74,20 @@ def test_classify_empty_catalog(tmp_path, capsys):
     assert stdout.strip() == "{}"
 
 
+def test_classify_rejects_node_above_left_degree(tmp_path, capsys):
+    from etskit.canon import canonical_form
+    from etskit.normal import NormalGraph
+
+    # two triangles sharing node 0: (5,3) edge count for d_l = 3, but node 0
+    # has degree 4
+    bowtie = NormalGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    cat = tmp_path / "c.cat"
+    cat.write_text(f"# 3 6 5 3\n{canonical_form(bowtie).hex()}\t0\t?\n")
+    code, _, stderr = run(capsys, "classify", "--catalog", str(cat))
+    assert code == 3
+    assert "degree 4, above left degree 3" in stderr
+
+
 def test_search_ets54(tmp_path, capsys, ets54):
     alist = tmp_path / "code.alist"
     alist.write_text(to_alist(ets54))

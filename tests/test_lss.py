@@ -17,6 +17,7 @@ from helpers import (
     assert_nested,
     brute_one_expansion,
     random_tanner,
+    tanner_lss_label,
     tutte_coxeter,
     unpruned_tanner_cycles,
 )
@@ -196,7 +197,7 @@ def test_classify_lss_6_6_catalog(catalogs):
     assert cat.label_histogram() == {6: 8, 8: 3}
     assert cat.label_histogram(absorbing_only=True) == {8: 2}
     for entry in cat.entries:
-        assert classify_lss(entry).value == entry.lss
+        assert classify_lss(entry) == entry.lss
 
 
 def test_classify_lss_na_cases(catalogs):
@@ -253,4 +254,20 @@ def test_label_catalog_parallel_matches_serial(catalogs):
 def test_pure_cycle_structure_is_its_own_label(catalogs):
     cat = catalogs(3, 6, 5, 5)
     assert [e.lss for e in cat.entries] == [10]
-    assert lss_label_of(cat.entries[0].normal_graph(), 3).value == 10
+    assert lss_label_of(cat.entries[0].normal_graph(), 3) == 10
+
+
+def test_labels_match_tanner_expansion_oracle(catalogs):
+    # NA-bearing d3g6 cells, dense d5/d6 cells and a girth-8 cell
+    cells = [(3, 6, 8, 4), (3, 6, 9, 5), (5, 6, 8, 6), (6, 6, 8, 10), (3, 8, 9, 3)]
+    labels = set()
+    checked = 0
+    for d_l, g, a, b in cells:
+        for entry in catalogs(d_l, g, a, b).entries:
+            n = entry.normal_graph()
+            want = tanner_lss_label(n, d_l)
+            assert lss_label_of(n, d_l) == want == entry.lss, entry.form.hex()
+            labels.add(want)
+            checked += 1
+    assert checked == 577
+    assert NA in labels and len(labels) >= 4

@@ -56,6 +56,42 @@ def test_parse_rejects_inconsistent_check_lists(ets54):
         parse_alist("\n".join(lines) + "\n")
 
 
+def _alist_lines(rows, num_chk):
+    """Alist lines of any variable adjacency, uniform or not, unpadded."""
+    chk = [[v for v, row in enumerate(rows) if c in row] for c in range(num_chk)]
+    return (
+        [f"{len(rows)} {num_chk}", f"{max(map(len, rows))} {max(map(len, chk))}",
+         " ".join(str(len(r)) for r in rows), " ".join(str(len(c)) for c in chk)]
+        + [" ".join(str(c + 1) for c in row) for row in rows]
+        + [" ".join(str(v + 1) for v in c) for c in chk]
+    )
+
+
+def test_parse_reports_real_lines_after_blank_lines(ets54):
+    # two blank lines before the header move every line down by two
+    rows = [list(row) for row in ets54.var_adj]
+    padded = ["", ""] + _alist_lines(rows, ets54.num_chk)
+    chk_line = 2 + 4 + len(rows) + 1  # 1-based line of check 1
+    padded[chk_line - 1], padded[chk_line] = padded[chk_line], padded[chk_line - 1]
+    with pytest.raises(AlistParseError, match="check 1 neighbor list disagrees") as err:
+        parse_alist("\n".join(padded) + "\n")
+    assert err.value.line == chk_line
+
+    rows[2].pop(0)  # a degree-2 check of variable 3 becomes degree 1
+    padded = ["", ""] + _alist_lines(rows, ets54.num_chk)
+    with pytest.raises(AlistParseError, match="non-uniform variable degree") as err:
+        parse_alist("\n".join(padded) + "\n")
+    assert err.value.line == 2 + 4 + 3  # the neighbour list of variable 3
+
+
+def test_parse_graph_constraints_on_header_line():
+    # two variables sharing two checks, header on line 2
+    rows = [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)]
+    with pytest.raises(AlistParseError, match="girth 4") as err:
+        parse_alist("\n".join([""] + _alist_lines(rows, 6)) + "\n")
+    assert err.value.line == 2
+
+
 def test_parse_rejects_girth_four():
     # two variables sharing two checks
     rows = [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)]
