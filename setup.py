@@ -1,11 +1,13 @@
 """Build script.
 
-The compiled canonical-labeling kernel is optional: when Cython and a C
-compiler are available it is built, otherwise installation proceeds and the
-package falls back to the pure-Python kernel at import time.
+The compiled canonical-labeling kernel is optional.  With Cython it is
+built from ``_ckernel.pyx``; without it, from the tracked generated
+``_ckernel.c``.  When no C compiler is available either, installation
+proceeds and the package falls back to the pure-Python kernel at import
+time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -28,7 +30,6 @@ class _OptionalBuildExt(build_ext):
 
 
 try:
-    from setuptools import Extension
     from Cython.Build import cythonize
 
     ext_modules = cythonize(
@@ -36,6 +37,7 @@ try:
         language_level="3",
     )
 except ImportError:  # pragma: no cover - toolchain dependent
-    ext_modules = []
+    # the generated C source is tracked, so a C compiler alone suffices
+    ext_modules = [Extension("etskit._ckernel", ["src/etskit/_ckernel.c"])]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": _OptionalBuildExt})

@@ -32,7 +32,6 @@ from etskit.tanner import (
     GammaSplit,
     TannerGraph,
     TrappingSetRecord,
-    VarSet,
     classify,
     compute_girth,
     gamma_split,
@@ -52,7 +51,6 @@ __all__ = [
     "SearchReport",
     "TannerGraph",
     "TrappingSetRecord",
-    "VarSet",
     "are_isomorphic_oracle",
     "canonical_form",
     "class_feasible",

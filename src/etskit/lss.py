@@ -8,6 +8,13 @@ expansion below is complete: no candidate outside that scan exists.  The
 scan walks the unsatisfied-check adjacency and therefore touches at most
 b*(d_r - 1) distinct variables.
 
+Each grown set comes with its class: b(S ∪ {v}) = b(S) + d_l - 2*hits,
+where hits is the number of unsatisfied checks of S that v touches.  Those
+checks have degree 1, since S is elementary, and become satisfied.  An
+admissible v touches no satisfied check of S, so v's other d_l - hits
+checks are new degree-1 checks.  A grown set's b therefore needs no check
+count of its own.
+
 Cycles up to length L are enumerated by a DFS from each variable ``start``
 over the nodes above it, pruned by BFS distances: a path of p nodes is
 extended to w only if p + dist(start, w) <= L.  The arc that would close
@@ -40,29 +47,20 @@ from typing import Iterable, Sequence
 from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue, fork_pool_map
-from etskit.tanner import Members, TannerGraph, classify, members_of
+from etskit.tanner import TannerGraph, _chk_degrees, classify, members_of
 
 MAX_K = 12
 
 
 class ExpansionFrontier:
-    """Deduplicated in-pool ETSs found per size (the algorithm's output lists)."""
+    """Deduplicated in-pool ETSs found per size, each with its ``b``."""
 
-    def __init__(self, k: int):
-        self.k = k
-        self.by_size: dict[int, set[tuple[int, ...]]] = {}
+    def __init__(self):
+        self.by_size: dict[int, dict[tuple[int, ...], int]] = {}
         self.seeds: set[tuple[int, ...]] = set()
 
-    def add(self, members: tuple[int, ...]) -> bool:
-        size = len(members)
-        layer = self.by_size.setdefault(size, set())
-        if members in layer:
-            return False
-        layer.add(members)
-        return True
-
-    def sets(self, size: int) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.by_size.get(size, ()))
+    def add(self, members: tuple[int, ...], b: int) -> None:
+        self.by_size.setdefault(len(members), {}).setdefault(members, b)
 
     def all_sets(self) -> list[tuple[int, ...]]:
         out = []
@@ -78,28 +76,16 @@ class ExpansionFrontier:
         return sum(len(layer) for layer in self.by_size.values())
 
 
-def _odd_even_masks(graph: TannerGraph, members: tuple[int, ...]):
+def _expand_members(
+    graph: TannerGraph, members: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Routine core: all one-node extensions of an in-pool elementary set,
+    each mapped to its ``b``."""
+    degs = _chk_degrees(graph, members)
+    odd = [c for c, d in degs.items() if d % 2]
     smask = 0
     for v in members:
         smask |= 1 << v
-    odd: list[int] = []
-    even_mask = 0
-    seen = set()
-    for v in members:
-        for c in graph.var_adj[v]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if (graph.chk_vmask[c] & smask).bit_count() % 2 == 1:
-                odd.append(c)
-            else:
-                even_mask |= 1 << c
-    return smask, odd, even_mask
-
-
-def _expand_members(graph: TannerGraph, members: tuple[int, ...]):
-    """Routine core: all one-node extensions of an in-pool elementary set."""
-    smask, odd, even_mask = _odd_even_masks(graph, members)
     counts: dict[int, int] = {}
     for c in odd:
         outside = graph.chk_vmask[c] & ~smask
@@ -109,38 +95,34 @@ def _expand_members(graph: TannerGraph, members: tuple[int, ...]):
             counts[v] = counts.get(v, 0) + 1
     # the scan above is bounded by b*(d_r - 1) distinct candidates
     assert len(counts) <= len(odd) * max(graph.max_chk_degree - 1, 0)
-    out = set()
+    grow = len(odd) + graph.d_l
+    out = {}
     for v, hits in counts.items():
-        if hits < 2:
-            continue
-        vmask = 0
-        for c in graph.var_adj[v]:
-            vmask |= 1 << c
-        if vmask & even_mask:
-            continue
-        out.add(tuple(sorted(members + (v,))))
+        # admissible: every check of v that the set reaches is an odd one
+        if hits >= 2 and sum(c in degs for c in graph.var_adj[v]) == hits:
+            out[tuple(sorted(members + (v,)))] = grow - 2 * hits
     return out
 
 
-def one_expansion(graph: TannerGraph, s: Members) -> set[tuple[int, ...]]:
+def one_expansion(graph: TannerGraph, s: Iterable[int]) -> set[tuple[int, ...]]:
     """All size-(|s|+1) in-pool ETSs containing ``s``."""
     members = members_of(graph, s)
     rec = classify(graph, members)
     if not (rec.elementary and rec.in_t):
         raise ValueError("expansion input is not an elementary set in the pool")
-    return _expand_members(graph, members)
+    return set(_expand_members(graph, members))
 
 
 def expand_to_k(
     graph: TannerGraph,
-    seeds: Iterable[Members],
+    seeds: Iterable[Iterable[int]],
     k: int,
     _validate: bool = True,
 ) -> ExpansionFrontier:
     """Layered expansion of the seeds to every reachable set of size <= k."""
     if k > MAX_K:
         raise ValueError(f"k={k} above cap {MAX_K}")
-    frontier = ExpansionFrontier(k)
+    frontier = ExpansionFrontier()
     for idx, seed in enumerate(seeds):
         members = members_of(graph, seed)
         if len(members) > k:
@@ -149,15 +131,16 @@ def expand_to_k(
             rec = classify(graph, members)
             if not (rec.elementary and rec.in_t):
                 raise ValueError(f"seed {idx} is not an elementary set in the pool")
-        frontier.add(members)
+        degs = _chk_degrees(graph, members)
+        frontier.add(members, sum(d % 2 for d in degs.values()))
         frontier.seeds.add(members)
     for size in range(2, k):
         layer = frontier.by_size.get(size)
         if not layer:
             continue
         for members in sorted(layer):
-            for grown in _expand_members(graph, members):
-                frontier.add(grown)
+            for grown, b in _expand_members(graph, members).items():
+                frontier.add(grown, b)
     return frontier
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from etskit.errors import GraphConstraintError
-from etskit.tanner import Members, TannerGraph, classify, members_of
+from etskit.tanner import TannerGraph, _chk_degrees, classify, members_of
 
 
 def mask_connected(adj: Sequence[int]) -> bool:
@@ -75,7 +75,7 @@ class NormalGraph:
         return len(self.edges)
 
 
-def to_normal(graph: TannerGraph, s: Members) -> NormalGraph:
+def to_normal(graph: TannerGraph, s: Iterable[int]) -> NormalGraph:
     """Reduce the induced subgraph of an elementary in-pool set."""
     members = members_of(graph, s)
     rec = classify(graph, members)
@@ -86,21 +86,11 @@ def to_normal(graph: TannerGraph, s: Members) -> NormalGraph:
             "set is disconnected or has a member with fewer than two satisfied checks"
         )
     index = {v: i for i, v in enumerate(members)}
-    smask = 0
-    for v in members:
-        smask |= 1 << v
-    edges = []
-    seen = set()
-    for v in members:
-        for c in graph.var_adj[v]:
-            if c in seen:
-                continue
-            seen.add(c)
-            inside = graph.chk_vmask[c] & smask
-            if inside.bit_count() == 2:
-                lo = (inside & -inside).bit_length() - 1
-                hi = inside.bit_length() - 1
-                edges.append((index[lo], index[hi]))
+    edges = [
+        [index[v] for v in graph.chk_adj[c] if v in index]
+        for c, d in _chk_degrees(graph, members).items()
+        if d == 2
+    ]
     return NormalGraph(len(members), edges)
 
 

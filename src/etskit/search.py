@@ -20,7 +20,8 @@ from itertools import groupby, repeat
 from etskit.lss import ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
 from etskit.structgen import ClassSpec, fork_pool_map
 from etskit.tables import NA, get_table
-from etskit.tanner import TannerGraph, classify, gamma_split
+from etskit.tanner import TannerGraph, classify
+from etskit.tanner import gamma_split  # noqa: F401  (patched by perfbench/tracing.py)
 
 MAX_SEARCH_K = 12
 
@@ -154,19 +155,19 @@ def find_etss(
 
     if threads > 1 and len(seeds) > 64:
         chunks = [(graph, seeds[i::threads], k) for i in range(threads)]
-        frontier = ExpansionFrontier(k)
+        frontier = ExpansionFrontier()
         for by_size, chunk_seeds in fork_pool_map(_expand_chunk, chunks, threads):
             for layer in by_size.values():
-                for members in layer:
-                    frontier.add(members)
+                for members, b in layer.items():
+                    frontier.add(members, b)
             frontier.seeds.update(chunk_seeds)
     else:
         frontier = expand_to_k(graph, seeds, k, _validate=False)
 
     by_class: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for members in frontier.all_sets():
-        b = len(gamma_split(graph, members).odd)
-        by_class.setdefault((len(members), b), []).append(members)
+    for size, layer in frontier.by_size.items():
+        for members, b in layer.items():
+            by_class.setdefault((size, b), []).append(members)
     classes = [
         ClassReport(
             a=a,

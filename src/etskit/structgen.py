@@ -278,6 +278,8 @@ def generate_forms(
     form per isomorphism class, sorted."""
     if m < a or m > a * (a - 1) // 2:
         return []  # connected with minimum degree 2 forces m >= a
+    if min_normal_girth >= 4 and m > a * a // 4:
+        return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
     total_pairs = a * (a - 1) // 2
     complemented = min_normal_girth == 3 and m > total_pairs // 2
     if complemented:

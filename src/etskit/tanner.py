@@ -94,34 +94,8 @@ class TannerGraph:
         return max((len(c) for c in self.chk_adj), default=0)
 
 
-@dataclass(frozen=True)
-class VarSet:
-    """A candidate trapping set: sorted variable ids bound to one graph."""
-
-    members: tuple[int, ...]
-    graph_key: str
-
-    @classmethod
-    def of(cls, graph: TannerGraph, ids: Iterable[int]) -> "VarSet":
-        members = tuple(sorted(set(ids)))
-        for v in members:
-            if v < 0 or v >= graph.num_var:
-                raise BindingError(f"variable {v} out of range")
-        return cls(members=members, graph_key=graph.key)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-Members = Union[VarSet, Iterable[int]]
-
-
-def members_of(graph: TannerGraph, s: Members) -> tuple[int, ...]:
-    """Normalize a VarSet or raw id iterable against ``graph``."""
-    if isinstance(s, VarSet):
-        if s.graph_key != graph.key:
-            raise BindingError("variable set is bound to a different graph")
-        return s.members
+def members_of(graph: TannerGraph, s: Iterable[int]) -> tuple[int, ...]:
+    """Sorted distinct variable ids of ``s``, checked against ``graph``."""
     members = tuple(sorted(set(s)))
     for v in members:
         if v < 0 or v >= graph.num_var:
@@ -201,7 +175,7 @@ def _chk_degrees(graph: TannerGraph, members: tuple[int, ...]) -> dict[int, int]
     return degs
 
 
-def gamma_split(graph: TannerGraph, s: Members) -> GammaSplit:
+def gamma_split(graph: TannerGraph, s: Iterable[int]) -> GammaSplit:
     members = members_of(graph, s)
     if not members:
         raise ValueError("variable set is empty")
@@ -233,7 +207,7 @@ def _connected(graph: TannerGraph, members: tuple[int, ...], degs: dict[int, int
     return seen.bit_count() == len(members)
 
 
-def classify(graph: TannerGraph, s: Members) -> TrappingSetRecord:
+def classify(graph: TannerGraph, s: Iterable[int]) -> TrappingSetRecord:
     """Full predicate record for a variable set; pure in its inputs."""
     members = members_of(graph, s)
     if not members:

@@ -15,6 +15,7 @@ from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
 from helpers import (
     assert_nested,
+    brute_gamma,
     brute_one_expansion,
     random_tanner,
     tanner_lss_label,
@@ -78,6 +79,24 @@ def test_expand_growth_chain(growth_chain_graph):
     rec = classify(g, (0, 1, 2, 3, 4))
     assert (rec.a, rec.b) == (5, 1)
     assert_nested(frontier)
+
+
+def test_expansion_records_each_sets_b():
+    # the b carried through the layers equals a naive per-check count
+    checked = 0
+    for dl, nv, nc in ((3, 24, 24), (4, 16, 24)):
+        g = random_tanner(nv, dl, nc, seed=11, girth_exactly=6)
+        seeds = [
+            s for sets in enumerate_tanner_cycles(g, 10).values() for s in sets
+            if len(s) <= 7 and (r := classify(g, s)).elementary and r.in_t
+        ]
+        frontier = expand_to_k(g, seeds, k=7)
+        assert frontier.by_size.get(7), dl
+        for layer in frontier.by_size.values():
+            for members, b in layer.items():
+                assert b == len(brute_gamma(g, members)[0]), (dl, members)
+                checked += 1
+    assert checked >= 500
 
 
 def test_expand_empty_seed_list(growth_chain_graph):

@@ -82,21 +82,24 @@ def test_find_etss_monotone_in_max_len():
 
 def test_find_etss_matches_exhaustive_on_guaranteed_classes():
     checked_classes = 0
-    for seed, nv, nc in ((1, 20, 30), (3, 22, 34), (8, 24, 36)):
-        g = random_tanner(nv, 3, nc, seed=seed, girth_exactly=6)
+    for dl, seed, nv, nc, k in (
+        (3, 1, 20, 30, 6), (3, 3, 22, 34, 6), (3, 8, 24, 36, 6), (4, 1, 16, 24, 7),
+    ):
+        g = random_tanner(nv, dl, nc, seed=seed, girth_exactly=6)
         max_len = 6 + 4
-        report, frontier = find_etss(g, k=6, max_len=max_len)
+        report, frontier = find_etss(g, k=k, max_len=max_len)
+        assert frontier.by_size.get(k), (dl, seed)
         found = {}
         for c in report.classes:
             found[(c.a, c.b)] = set(map(tuple, c.sets))
         brute = {}
-        for members, b in pool_ets_up_to(g, 6):
+        for members, b in pool_ets_up_to(g, k):
             brute.setdefault((len(members), b), set()).add(members)
-        table = get_table(3, 6)
+        table = get_table(dl, 6)
         for (a, b), sets in brute.items():
             if not table.in_scope(a, b):
                 continue
-            if coverage_query(ClassSpec(3, 6, a, b), max_len) != GUARANTEED:
+            if coverage_query(ClassSpec(dl, 6, a, b), max_len) != GUARANTEED:
                 continue
             assert found.get((a, b), set()) == sets, (seed, a, b)
             checked_classes += 1

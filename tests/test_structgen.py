@@ -28,6 +28,24 @@ def test_class_feasible_edge_cap():
     assert not verdict and "capacity" in verdict.reason
 
 
+def test_mantel_bound_skips_orderly_search(monkeypatch):
+    # girth 8 means a triangle-free normal graph, which has at most
+    # floor(a^2/4) edges (Mantel); (5,8,8,0) asks for 20 > 16
+    from etskit import structgen
+
+    calls = 0
+    canonical_masks = structgen.canonical_masks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return canonical_masks(*args)
+
+    monkeypatch.setattr(structgen, "canonical_masks", counting)
+    assert len(generate_structures(ClassSpec(5, 8, 8, 0))) == 0
+    assert calls == 0
+
+
 def test_class_feasible_ok():
     assert class_feasible(ClassSpec(4, 6, 6, 2))
 
