@@ -30,7 +30,10 @@ class CanonicalForm:
 
     @classmethod
     def from_hex(cls, text: str) -> "CanonicalForm":
-        return cls(bytes.fromhex(text))
+        data = bytes.fromhex(text)
+        if not data or len(data) != 1 + (data[0] * (data[0] - 1) // 2 + 7) // 8:
+            raise ValueError(f"{text!r} is not one node-count byte and its bitmap")
+        return cls(data)
 
     def decode_edges(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Recover node count and edge list from the encoding."""

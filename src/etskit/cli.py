@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 mismatch/diff, 2 usage error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,11 +20,11 @@ from etskit.errors import AlistParseError, EtsError
 from etskit.lss import label_catalog
 from etskit.search import find_etss, format_report_table
 from etskit.structgen import (
-    Catalog,
     ClassSpec,
     generate_structures,
     read_catalog,
     write_catalog,
+    write_text_atomic,
 )
 from etskit.tanner import parse_alist
 
@@ -45,6 +46,23 @@ def _class_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--girth", type=int, required=True, help="Tanner girth (6 or 8)")
 
 
+def _thread_count(text: str) -> int:
+    cap = os.cpu_count() or 1
+    if not text.isdecimal() or not 1 <= int(text) <= cap:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 1..{cap} (the CPU count), got {text!r}"
+        )
+    return int(text)
+
+
+def _threads_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--threads", type=_thread_count, default=1, metavar="N",
+        help="at most N worker processes, N in 1..CPU count; only structure "
+        "generation (gen, verify) forks, classify and search run in one process",
+    )
+
+
 def cmd_gen(args) -> int:
     spec = ClassSpec(d_l=args.dl, g=args.girth, a=args.a, b=args.b)
     table = tables.get_table(spec.d_l, spec.g)
@@ -59,7 +77,7 @@ def cmd_gen(args) -> int:
             return EXIT_USAGE
     catalog = generate_structures(spec, threads=args.threads)
     if not args.no_lss:
-        catalog = label_catalog(catalog, threads=args.threads)
+        catalog = label_catalog(catalog)
     write_catalog(catalog, args.out)
     if len(catalog) == 0:
         print("total=0 (class infeasible or empty)")
@@ -79,9 +97,7 @@ def cmd_classify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    labeled = label_catalog(
-        Catalog(spec=catalog.spec, entries=catalog.entries), threads=args.threads
-    )
+    labeled = label_catalog(catalog)
     write_catalog(labeled, args.catalog)
     print(_hist_str(labeled.label_histogram()))
     return EXIT_OK
@@ -99,12 +115,11 @@ def cmd_search(args) -> int:
         max_len=args.max_cycle_len,
         code_id=args.code_id or Path(args.alist).stem,
         include_sets=args.sets,
-        threads=args.threads,
     )
-    Path(args.out).write_text(report.to_json())
+    write_text_atomic(args.out, report.to_json())
     if args.sets_out:
         lines = report.export_lines()
-        Path(args.sets_out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_text_atomic(args.sets_out, "\n".join(lines) + ("\n" if lines else ""))
     if args.json:
         sys.stdout.write(report.to_json())
     else:
@@ -133,8 +148,7 @@ def cmd_verify(args) -> int:
                 generate_structures(
                     ClassSpec(d_l=args.dl, g=args.girth, a=a, b=b),
                     threads=args.threads,
-                ),
-                threads=args.threads,
+                )
             )
             got_ts = catalog.label_histogram()
             got_as = catalog.label_histogram(absorbing_only=True)
@@ -170,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow classes with more than 1000 structures")
     p.add_argument("--no-lss", action="store_true",
                    help="skip LSS labeling (writes '?' labels)")
-    p.add_argument("--threads", type=int, default=1)
+    _threads_arg(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("classify", help="fill LSS labels of a catalog file")
     p.add_argument("--catalog", required=True)
     p.add_argument("--force", action="store_true", help="relabel labeled catalogs")
-    p.add_argument("--threads", type=int, default=1)
+    _threads_arg(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("search", help="search a concrete code for trapping sets")
@@ -189,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets-out", help="also write the frontier as TSV lines")
     p.add_argument("--code-id", help="code identifier for the report")
     p.add_argument("--json", action="store_true", help="print JSON instead of a table")
-    p.add_argument("--threads", type=int, default=1)
+    _threads_arg(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="diff regenerated catalogs against shipped tables")
@@ -197,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-a", type=int, default=9, dest="max_a")
     p.add_argument("--extended", action="store_true",
                    help="include classes with more than 1000 structures")
-    p.add_argument("--threads", type=int, default=1)
+    _threads_arg(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

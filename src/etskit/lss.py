@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
-from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue, fork_pool_map
+from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue
 from etskit.tanner import TannerGraph, _chk_degrees, classify, members_of
 
 MAX_K = 12
@@ -230,12 +230,8 @@ def lss_label_of(structure: NormalGraph, d_l: int) -> LssLabelValue:
     return NA
 
 
-def label_catalog(catalog: Catalog, threads: int = 1) -> Catalog:
-    """Catalog with every entry labeled; deterministic across thread counts."""
-    entries = catalog.entries
-    if threads > 1 and len(entries) >= 64:
-        labels = fork_pool_map(classify_lss, entries, threads, chunksize=16)
-    else:
-        labels = [classify_lss(e) for e in entries]
-    labeled = [replace(e, lss=val) for e, val in zip(entries, labels)]
+def label_catalog(catalog: Catalog) -> Catalog:
+    """Catalog with every entry labeled, in one process: a whole cell takes
+    a fraction of a second, less than starting a worker pool costs."""
+    labeled = [replace(e, lss=classify_lss(e)) for e in catalog.entries]
     return Catalog(spec=catalog.spec, entries=labeled, reason=catalog.reason)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, repeat
 
 from etskit.lss import ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
-from etskit.structgen import ClassSpec, fork_pool_map
+from etskit.structgen import ClassSpec
 from etskit.tables import NA, get_table
 from etskit.tanner import TannerGraph, classify
 from etskit.tanner import gamma_split  # noqa: F401  (patched by perfbench/tracing.py)
@@ -123,21 +123,19 @@ def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
     return verdict
 
 
-def _expand_chunk(args):
-    graph, seeds, k = args
-    frontier = expand_to_k(graph, seeds, k, _validate=False)
-    return frontier.by_size, frontier.seeds
-
-
 def find_etss(
     graph: TannerGraph,
     k: int,
     max_len: int,
     code_id: str = "",
     include_sets: bool = False,
-    threads: int = 1,
 ) -> tuple[SearchReport, ExpansionFrontier]:
-    """All in-pool ETSs of size <= k reachable from cycles up to max_len."""
+    """All in-pool ETSs of size <= k reachable from cycles up to max_len.
+
+    Runs in one process.  A set of size a+1 is reached from many parents
+    of size a, so the layers are one shared frontier: split by seeds, each
+    share grows the sets it has in common with the others again.
+    """
     if k < 2 or k > MAX_SEARCH_K:
         raise ValueError(f"k must be in 2..{MAX_SEARCH_K}")
     girth = graph.girth
@@ -152,17 +150,7 @@ def find_etss(
             rec = classify(graph, members)
             if rec.elementary and rec.in_t:
                 seeds.append(members)
-
-    if threads > 1 and len(seeds) > 64:
-        chunks = [(graph, seeds[i::threads], k) for i in range(threads)]
-        frontier = ExpansionFrontier()
-        for by_size, chunk_seeds in fork_pool_map(_expand_chunk, chunks, threads):
-            for layer in by_size.values():
-                for members, b in layer.items():
-                    frontier.add(members, b)
-            frontier.seeds.update(chunk_seeds)
-    else:
-        frontier = expand_to_k(graph, seeds, k, _validate=False)
+    frontier = expand_to_k(graph, seeds, k, _validate=False)
 
     by_class: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for size, layer in frontier.by_size.items():

@@ -20,6 +20,8 @@ same way, and results are complemented back before canonical encoding.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import secrets
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +29,7 @@ from typing import Optional, Union
 
 from etskit.canon import CanonicalForm, canonical_masks
 from etskit.errors import GraphConstraintError
-from etskit.normal import NormalGraph, mask_connected
+from etskit.normal import NormalGraph, check_degree_cap, mask_connected
 
 NA = "NA"
 MIN_DL, MAX_DL = 3, 6
@@ -250,7 +252,7 @@ def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
     return finals
 
 
-def fork_pool_map(fn, items, threads: int, chunksize: int = 1) -> list:
+def fork_pool_map(fn, items, threads: int) -> list:
     """``list(map(fn, items))`` on ``threads`` worker processes, forked
     where the platform allows it, in input order."""
     try:
@@ -258,7 +260,7 @@ def fork_pool_map(fn, items, threads: int, chunksize: int = 1) -> list:
     except ValueError:  # pragma: no cover - platform dependent
         ctx = multiprocessing.get_context()
     with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
 def _subtree_worker(args):
@@ -296,30 +298,25 @@ def generate_forms(
 
     root_adj = [0] * a
     root_form, _ = canonical_masks(a, root_adj)
-    if task.m == 0:
-        raw = [(root_adj, root_form)] if task.min_deg_final == 0 else []
-    elif threads <= 1:
-        raw = _run_subtree(task, root_adj, 0, root_form)
+    # with workers, grow the tree breadth-first until it has enough
+    # subtrees to share out; every subtree is then completed depth-first
+    frontier = [(task, root_adj, 0, root_form)]
+    depth = 0
+    while threads > 1 and 0 < len(frontier) < 8 * threads and depth < task.m:
+        nxt = []
+        for _, adj, _, form in frontier:
+            degs = [x.bit_count() for x in adj]
+            nxt.extend(
+                (task, child, depth + 1, cform)
+                for child, cform in _children(task, adj, degs, depth, form)
+            )
+        frontier = nxt
+        depth += 1
+    if threads > 1 and len(frontier) > 1:
+        parts = fork_pool_map(_subtree_worker, frontier, threads)
     else:
-        frontier = [(list(root_adj), 0, root_form)]
-        depth = 0
-        while depth < task.m and len(frontier) < 8 * threads:
-            nxt = []
-            for adj, k, form in frontier:
-                degs = [x.bit_count() for x in adj]
-                nxt.extend(
-                    (child, k + 1, cform)
-                    for child, cform in _children(task, adj, degs, k, form)
-                )
-            frontier = nxt
-            depth += 1
-            if not frontier:
-                break
-        raw = []
-        if frontier:
-            args = [(task, adj, k, form) for adj, k, form in frontier]
-            for part in fork_pool_map(_subtree_worker, args, threads):
-                raw.extend(part)
+        parts = map(_subtree_worker, frontier)
+    raw = [final for part in parts for final in part]
 
     forms = []
     if complemented:
@@ -369,46 +366,96 @@ def format_catalog(catalog: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
+    parts = ln.split("\t")
+    if len(parts) != 3:
+        raise GraphConstraintError(f"bad catalog row {ln!r}")
+    try:
+        form = CanonicalForm.from_hex(parts[0])
+    except ValueError as exc:
+        raise GraphConstraintError(f"bad canonical form in {ln!r}") from exc
+    if parts[1] not in ("0", "1"):
+        raise GraphConstraintError(f"bad absorbing flag in {ln!r}")
+    lss: Optional[LssLabelValue]
+    if parts[2] == "?":
+        lss = None
+    elif parts[2] == NA:
+        lss = NA
+    elif parts[2].isdecimal():
+        lss = int(parts[2])
+    else:
+        raise GraphConstraintError(f"bad LSS label in {ln!r}")
+    graph = form.decode()
+    if graph.n != spec.a or graph.m != spec.num_edges:
+        raise GraphConstraintError(
+            f"entry {parts[0]} does not match class (a={spec.a}, b={spec.b})"
+        )
+    if canonical_masks(graph.n, graph.adj_masks)[0] != form.data:
+        raise GraphConstraintError(f"{parts[0]} is not the canonical form of its graph")
+    # a node above d_l would also make the absorbing flag look wrong
+    check_degree_cap(graph, spec.d_l)
+    if min(graph.degrees) < 2:
+        raise GraphConstraintError(f"{parts[0]} has a node of degree below 2")
+    absorbing = _is_absorbing(graph.degrees, spec.d_l)
+    if parts[1] != ("1" if absorbing else "0"):
+        raise GraphConstraintError(
+            f"absorbing flag {parts[1]} contradicts the degrees of {parts[0]}"
+        )
+    return CatalogEntry(form=form, spec=spec, absorbing=absorbing, lss=lss)
+
+
 def parse_catalog(text: str) -> Catalog:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    """Catalog of a file's text.  Each row must hold the canonical form of
+    a structure of the header's class, once, with the absorbing flag its
+    degrees give; a row error names the row's 1-based line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise GraphConstraintError("catalog must start with '# dl g a b' header")
-    head = lines[0][1:].split()
+    head = lines[0][1][1:].split()
     if len(head) != 4:
         raise GraphConstraintError("catalog header must be '# dl g a b'")
-    spec = ClassSpec(*(int(x) for x in head))
+    try:
+        spec = ClassSpec(*(int(x) for x in head))
+    except ValueError as exc:
+        raise GraphConstraintError(f"line {lines[0][0]}: bad catalog header: {exc}") from exc
     entries = []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise GraphConstraintError(f"bad catalog row {ln!r}")
+    first_line: dict[bytes, int] = {}
+    for lineno, ln in lines[1:]:
         try:
-            form = CanonicalForm.from_hex(parts[0])
-        except ValueError as exc:
-            raise GraphConstraintError(f"bad canonical form in {ln!r}") from exc
-        if parts[1] not in ("0", "1"):
-            raise GraphConstraintError(f"bad absorbing flag in {ln!r}")
-        lss: Optional[LssLabelValue]
-        if parts[2] == "?":
-            lss = None
-        elif parts[2] == NA:
-            lss = NA
-        else:
-            lss = int(parts[2])
-        graph = form.decode()
-        if graph.n != spec.a or graph.m != spec.num_edges:
+            entry = _parse_row(ln, spec)
+        except GraphConstraintError as exc:
+            raise GraphConstraintError(f"line {lineno}: {exc}") from exc
+        if entry.form.data in first_line:
             raise GraphConstraintError(
-                f"entry {parts[0]} does not match class (a={spec.a}, b={spec.b})"
+                f"line {lineno}: duplicate of the row on line "
+                f"{first_line[entry.form.data]}"
             )
-        entries.append(
-            CatalogEntry(form=form, spec=spec, absorbing=parts[1] == "1", lss=lss)
-        )
+        first_line[entry.form.data] = lineno
+        entries.append(entry)
     entries.sort(key=lambda e: e.form.data)
     return Catalog(spec=spec, entries=entries)
 
 
+def write_text_atomic(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: ``path`` holds its old or its new text,
+    never part of one, and a write that raises removes the temporary file.
+    Nothing is flushed to disk, so this guards against a failing process,
+    not against a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_catalog(catalog: Catalog, path: Union[str, Path]) -> None:
-    Path(path).write_text(format_catalog(catalog))
+    write_text_atomic(path, format_catalog(catalog))
 
 
 def read_catalog(path: Union[str, Path]) -> Catalog:

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from etskit import cli
 from etskit.cli import main
 from etskit.normal import from_normal
 from helpers import brute_gamma, random_tanner, to_alist
@@ -65,6 +67,23 @@ def test_classify_cycle(tmp_path, capsys):
     assert code == 0
 
 
+def test_classify_failed_write_keeps_catalog(tmp_path, capsys, monkeypatch):
+    cat = tmp_path / "c.cat"
+    code, _, _ = run(capsys, "gen", "--dl", "3", "--girth", "6",
+                     "--a", "6", "--b", "4", "--out", str(cat))
+    assert code == 0
+    before = cat.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, _, stderr = run(capsys, "classify", "--catalog", str(cat), "--force")
+    assert code == 2 and "disk full" in stderr
+    assert cat.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cat"]
+
+
 def test_classify_empty_catalog(tmp_path, capsys):
     out = tmp_path / "c.cat"
     run(capsys, "gen", "--dl", "5", "--girth", "8", "--a", "7", "--b", "9",
@@ -124,6 +143,25 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "--dl", "4"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--dl", "4", "--girth", "6", "--a", "6", "--b", "2", "--out", "c.cat"],
+    ["classify", "--catalog", "c.cat"],
+    ["search", "--alist", "c.alist", "--k", "5", "--max-cycle-len", "6",
+     "--out", "r.json"],
+    ["verify", "--dl", "3", "--girth", "8"],
+])
+def test_threads_bounded_by_cpu_count(command, capsys):
+    # parsing only: no command runs, so no worker process starts
+    cap = os.cpu_count()
+    parser = cli.build_parser()
+    assert parser.parse_args(command + ["--threads", str(cap)]).threads == cap
+    for bad in ("0", "-1", str(cap + 1), "two"):
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(command + ["--threads", bad])
+        assert err.value.code == 2
+        assert f"1..{cap}" in capsys.readouterr().err
 
 
 def test_verify_d3_g8(capsys):

@@ -149,13 +149,6 @@ def test_report_json_shape(ets62_normal, tmp_path):
     assert all({"a", "b", "members"} <= set(s) for s in data["sets"])
 
 
-def test_threads_do_not_change_report():
-    g = random_tanner(22, 3, 33, seed=77, girth_exactly=6)
-    r1, _ = find_etss(g, k=6, max_len=10, threads=1, include_sets=True)
-    r2, _ = find_etss(g, k=6, max_len=10, threads=2, include_sets=True)
-    assert r1.to_json() == r2.to_json()
-
-
 def test_girth_above_tables_is_uncharacterized():
     # girth-12 cubic bipartite fragment: expansion of a long even cycle
     rows = [(i, (i + 1) % 9, 9 + i) for i in range(9)]

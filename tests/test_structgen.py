@@ -1,5 +1,7 @@
 import pytest
 
+from etskit.canon import CanonicalForm, canonical_form
+from etskit.normal import NormalGraph
 from etskit.structgen import (
     Catalog,
     ClassSpec,
@@ -191,13 +193,48 @@ def test_catalog_file_round_trip(catalogs):
     ]
 
 
+def _raw_hex(n, edges):
+    """Catalog hex encoding of the graph as labelled, not canonicalised."""
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in edges or (j, i) in edges:
+                bits[k >> 3] |= 0x80 >> (k & 7)
+            k += 1
+    return (bytes([n]) + bytes(bits)).hex()
+
+
 def test_catalog_file_rejects_garbage():
     from etskit.errors import GraphConstraintError
 
-    with pytest.raises(GraphConstraintError):
-        parse_catalog("no header\n")
-    with pytest.raises(GraphConstraintError):
-        parse_catalog("# 4 6 6 2\nzz\t5\t6\n")
+    good = format_catalog(generate_structures(ClassSpec(4, 6, 6, 2))).splitlines()
+    header, row, other = good[0], good[1], good[2]
+    hexform, flag, lss = row.split("\t")
+    n = CanonicalForm.from_hex(hexform).decode()
+    relabeled = _raw_hex(n.n, [(n.n - 1 - i, n.n - 1 - j) for i, j in n.edges])
+    assert relabeled != hexform
+    flipped = "0" if flag == "1" else "1"
+    # K4 with a two-edge tail: the (6,8) edge count for d_l = 4, but the
+    # last node has one satisfied check
+    tail = NormalGraph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                           (3, 4), (4, 5)])
+    cases = [
+        ("no header\n", "header"),
+        ("# 4 6 x 2\n", "line 1: bad catalog header"),
+        ("\n# 4 6 11 2\n", "line 2: bad catalog header"),
+        (f"# 4 6 6 8\n{canonical_form(tail).hex()}\t0\t?\n", "line 2: .* degree below 2"),
+        ("# 4 6 6 2\nzz\t5\t6\n", "line 2: bad canonical form"),
+        ("# 4 6 6 2\n06\t1\t?\n", "line 2: bad canonical form"),
+        (f"{header}\n{row[:-1]}x\n", "line 2: bad LSS label"),
+        (f"{header}\n{relabeled}\t{flag}\t{lss}\n", "line 2: .* not the canonical form"),
+        (f"{header}\n{row}\n{other}\n\n{row}\n", "line 5: duplicate of the row on line 2"),
+        (f"{header}\n{other}\n{hexform}\t{flipped}\t{lss}\n",
+         "line 3: absorbing flag .* contradicts the degrees"),
+    ]
+    for text, message in cases:
+        with pytest.raises(GraphConstraintError, match=message):
+            parse_catalog(text)
 
 
 def test_unlabeled_catalog_round_trip():
