@@ -2,13 +2,15 @@
 """Compare the compiled and pure canonical-labeling kernels.
 
 Two workloads: raw canonical-form calls on random graphs of each size, and
-one real catalog generation (the hot path that motivated the compiled
-kernel).  Run after building the extension in place:
+catalog generation of three cells (the hot path that motivated the
+compiled kernel), with the canonical-form calls each makes.  Run after
+building the extension in place:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_kernel.py
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -56,30 +58,48 @@ def bench_canon():
         print(f"{n:>3} {pure:>14.1f} {comp:>17.1f} {pure / comp:>7.1f}x")
 
 
-def bench_generation():
-    """Time one catalog generation per kernel in a fresh interpreter."""
-    snippet = (
-        "import time; t0=time.time(); "
-        "from etskit.structgen import ClassSpec, generate_structures; "
-        "cat = generate_structures(ClassSpec(5, 6, 8, 6)); "
-        "print(f'{len(cat)} structures {time.time()-t0:.2f}s')"
-    )
-    for label, env in (("compiled", None), ("pure", {"ETSKIT_PURE": "1"})):
-        import os
+GENERATION_CELLS = ((5, 6, 8, 6), (4, 6, 8, 8), (5, 6, 8, 8))
 
-        full_env = dict(os.environ)
-        if env:
-            full_env.update(env)
-        if label == "compiled" and _ckernel is None:
-            print("generation (compiled): extension not built, skipping")
-            continue
-        out = subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True,
-            text=True,
-            env=full_env,
-        )
-        print(f"generation of (d_l=5, g=6, a=8, b=6) [{label}]: {out.stdout.strip()}")
+# counts the canonical-form calls of generation by wrapping the name that
+# structgen calls, then prints "structures calls seconds"
+GENERATION_SNIPPET = """
+import sys, time
+from etskit import structgen
+calls = 0
+inner = structgen.canonical_masks
+def counting(*args):
+    global calls
+    calls += 1
+    return inner(*args)
+structgen.canonical_masks = counting
+t0 = time.perf_counter()
+cat = structgen.generate_structures(structgen.ClassSpec(*map(int, sys.argv[1:])))
+print(len(cat), calls, f"{time.perf_counter() - t0:.2f}")
+"""
+
+
+def bench_generation():
+    """Time catalog generation per cell and kernel, each in a fresh
+    interpreter, with its count of canonical-form calls."""
+    print(f"{'cell (d_l,g,a,b)':<18} {'kernel':<9} {'structures':>10} "
+          f"{'canon calls':>12} {'seconds':>8}")
+    for cell in GENERATION_CELLS:
+        for label, env in (("compiled", None), ("pure", {"ETSKIT_PURE": "1"})):
+            if label == "compiled" and _ckernel is None:
+                print(f"{str(cell):<18} {label:<9} extension not built, skipping")
+                continue
+            full_env = dict(os.environ)
+            if env:
+                full_env.update(env)
+            out = subprocess.run(
+                [sys.executable, "-c", GENERATION_SNIPPET, *map(str, cell)],
+                capture_output=True,
+                text=True,
+                env=full_env,
+                check=True,
+            )
+            count, calls, seconds = out.stdout.split()
+            print(f"{str(cell):<18} {label:<9} {count:>10} {calls:>12} {seconds:>8}")
 
 
 if __name__ == "__main__":

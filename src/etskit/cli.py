@@ -132,10 +132,18 @@ def cmd_verify(args) -> int:
     if table is None:
         print(f"no reference table for d_l={args.dl}, g={args.girth}", file=sys.stderr)
         return EXIT_USAGE
+    lo, hi = table.a_range
+    if args.max_a < lo:
+        print(
+            f"--max-a {args.max_a} is below the d_l={args.dl} g={args.girth} "
+            f"table's a range {lo}..{hi}; nothing would be checked",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     tables.verify_checksum()
     diffs = 0
     skipped = []
-    for a in range(table.a_range[0], min(args.max_a, table.a_range[1]) + 1):
+    for a in range(lo, min(args.max_a, hi) + 1):
         for b in range(table.b_range[0], table.b_range[1] + 1):
             expected = table.expected_total(a, b)
             if expected > EXTENDED_THRESHOLD and not args.extended:

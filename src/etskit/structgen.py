@@ -6,11 +6,32 @@ node degrees in ``[2, d_l]``; a girth-8 class additionally requires the
 graph to be triangle-free (Tanner cycle lengths are twice normal ones).
 
 Generation is orderly: edge sets grow one edge at a time and a grown graph
-survives only if the edge that the canonical form marks for deletion leads
-back to the parent it actually grew from, so each isomorphism class is
-produced exactly once.  Degree caps, girth, and edge-count feasibility
-prune during growth; connectivity and the minimum degree of 2 are final
-filters (they are not closed under edge deletion).
+survives only if the edge it marks for deletion leads back to the parent
+it actually grew from, so each isomorphism class is produced exactly once.
+Degree caps, girth, and edge-count feasibility prune during growth;
+connectivity and the minimum degree of 2 are final filters (they are not
+closed under edge deletion).
+
+The deletion edge is chosen invariant-first (McKay's canonical construction
+paths).  Each edge (x, y) gets the cheap key (larger endpoint degree,
+smaller endpoint degree, triangles through the edge), and the deletion edge
+is the edge last in canonical position among the edges of largest key.  A
+child whose added edge is not of largest key is rejected before any
+canonical labelling.  This is exact:
+
+- The key is an isomorphism invariant of (graph, edge), and the canonical
+  labelling is one too, so the deletion edge is fixed up to automorphism
+  and ``child - deletion edge`` is one isomorphism class, its parent.
+- ``G - e`` and ``G - f`` isomorphic implies ``key(e) == key(f)``: the
+  degree multiset of ``G - e`` fixes the endpoint degrees of ``e``, and
+  ``G - e`` has exactly the triangles of ``G`` not through ``e``.  So a
+  child whose added edge has a smaller key is not isomorphic to its
+  parent plus the deletion edge, and rejecting it early loses nothing.
+- Deleting any edge of a valid node gives a valid node: degree caps, girth
+  and ``_feasible_partial`` are all closed under edge deletion.  So every
+  class's parent is itself generated, and the class is accepted from that
+  one parent class, once (``seen`` merges the extensions of one parent
+  that give the same child).
 
 Dense classes (more than half of all possible edges) are generated through
 their complements: the degree window mirrors, the complement is grown the
@@ -23,7 +44,7 @@ import multiprocessing
 import os
 import secrets
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -129,11 +150,6 @@ def _is_absorbing(degrees, d_l: int) -> bool:
     return all(2 * d > d_l for d in degrees)
 
 
-def annotate_absorbing(entry: CatalogEntry) -> CatalogEntry:
-    degs = entry.normal_graph().degrees
-    return replace(entry, absorbing=_is_absorbing(degs, entry.spec.d_l))
-
-
 # ---------------------------------------------------------------------------
 # orderly generation
 
@@ -169,25 +185,47 @@ def _feasible_partial(task: _GenTask, degs, k: int) -> bool:
     return 2 * rem <= capacity and deficit <= 2 * rem
 
 
-def _deletion_edge(form: bytes, perm) -> tuple[int, int]:
-    """Original-label edge whose canonical position is last in the bitmap."""
-    n = form[0]
-    bits = form[1:]
-    k = n * (n - 1) // 2 - 1
-    while k >= 0:
-        if bits[k >> 3] >> (7 - (k & 7)) & 1:
-            break
-        k -= 1
-    # map flat upper-triangle index back to (i, j)
-    i = 0
-    row = n - 1
-    while k >= row:
-        k -= row
-        row -= 1
-        i += 1
-    j = i + 1 + k
-    a, b = perm[i], perm[j]
-    return (a, b) if a < b else (b, a)
+def _top_edges(adj, degs, u: int, v: int):
+    """Edges whose key equals that of the added edge ``(u, v)``, as
+    ``(x, y)`` with ``x < y``; ``None`` when some edge has a larger key.
+
+    The key of an edge is (larger endpoint degree, smaller endpoint degree,
+    triangles through it).  The caller has checked that no node's degree
+    exceeds the larger of ``degs[u]`` and ``degs[v]``, so only edges at a
+    node of that degree can tie or win."""
+    du, dv = degs[u], degs[v]
+    hi = du if du > dv else dv
+    lo = du + dv - hi
+    tri = (adj[u] & adj[v]).bit_count()
+    top = []
+    for x, dx in enumerate(degs):
+        if dx != hi:
+            continue
+        ax = adj[x]
+        nb = ax
+        while nb:
+            y = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            dy = degs[y]
+            if dy < lo or (dy == hi and y < x):
+                continue  # a smaller key, or an edge already seen from y
+            if dy > lo:
+                return None
+            t = (ax & adj[y]).bit_count()
+            if t > tri:
+                return None
+            if t == tri:
+                top.append((x, y) if x < y else (y, x))
+    return top
+
+
+def _deletion_edge(perm, top) -> tuple[int, int]:
+    """Edge of ``top`` whose canonical position is last in the bitmap."""
+    pos = [0] * len(perm)
+    for i, x in enumerate(perm):
+        pos[x] = i
+    # row-major upper triangle: the later row wins, then the later column
+    return max(top, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
 
 
 def _children(task: _GenTask, adj, degs, k: int, form: bytes):
@@ -195,6 +233,7 @@ def _children(task: _GenTask, adj, degs, k: int, form: bytes):
     n = task.n
     out = []
     seen = set()
+    top_deg = max(degs)
     for u in range(n):
         if degs[u] >= task.max_deg:
             continue
@@ -202,6 +241,8 @@ def _children(task: _GenTask, adj, degs, k: int, form: bytes):
         for v in range(u + 1, n):
             if degs[v] >= task.max_deg or (au >> v) & 1:
                 continue
+            if max(degs[u], degs[v]) + 1 < top_deg:
+                continue  # an edge at a node of top degree has a larger key
             if task.min_girth >= 4 and au & adj[v]:
                 continue
             if task.min_girth >= 5 and _creates_c4(adj, u, v):
@@ -211,21 +252,23 @@ def _children(task: _GenTask, adj, degs, k: int, form: bytes):
             degs[u] += 1
             degs[v] += 1
             if _feasible_partial(task, degs, k + 1):
-                child_form, perm = canonical_masks(n, adj)
-                if child_form not in seen:
-                    seen.add(child_form)
-                    fu, fv = _deletion_edge(child_form, perm)
-                    if (fu, fv) == (u, v):
-                        ok = True
-                    else:
-                        adj[fu] &= ~(1 << fv)
-                        adj[fv] &= ~(1 << fu)
-                        parent_form, _ = canonical_masks(n, adj)
-                        adj[fu] |= 1 << fv
-                        adj[fv] |= 1 << fu
-                        ok = parent_form == form
-                    if ok:
-                        out.append((list(adj), child_form))
+                top = _top_edges(adj, degs, u, v)
+                if top is not None:
+                    child_form, perm = canonical_masks(n, adj)
+                    if child_form not in seen:
+                        seen.add(child_form)
+                        fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
+                        if (fu, fv) == (u, v):
+                            ok = True
+                        else:
+                            adj[fu] &= ~(1 << fv)
+                            adj[fv] &= ~(1 << fu)
+                            parent_form, _ = canonical_masks(n, adj)
+                            adj[fu] |= 1 << fv
+                            adj[fv] |= 1 << fu
+                            ok = parent_form == form
+                        if ok:
+                            out.append((list(adj), child_form))
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             degs[u] -= 1

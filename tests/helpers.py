@@ -7,10 +7,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 from etskit.lss import expand_to_k
 from etskit.normal import CycleCensus, NormalGraph, from_normal
-from etskit.structgen import NA
+from etskit.structgen import NA, CatalogEntry, _is_absorbing
 from etskit.tanner import TannerGraph, classify
 
 
@@ -142,6 +143,11 @@ def tanner_lss_label(structure: NormalGraph, d_l: int):
     return NA
 
 
+def annotate_absorbing(entry: CatalogEntry) -> CatalogEntry:
+    degs = entry.normal_graph().degrees
+    return replace(entry, absorbing=_is_absorbing(degs, entry.spec.d_l))
+
+
 def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:
     """Naive per-check degree count over the induced subgraph."""
     members = set(members)
@@ -178,11 +184,24 @@ def pool_ets_up_to(graph: TannerGraph, k: int):
     return found
 
 
+def _bucket_key(g: NormalGraph) -> tuple:
+    """Sorted per-node (degree, sorted neighbour degrees, triangles at the
+    node): an isomorphism invariant that needs no canonical form."""
+    adj, degs = g.adj_masks, g.degrees
+    per_node = []
+    for v in range(g.n):
+        nbrs = [w for w in range(g.n) if adj[v] >> w & 1]
+        triangles = sum((adj[v] & adj[w]).bit_count() for w in nbrs) // 2
+        per_node.append((degs[v], tuple(sorted(degs[w] for w in nbrs)), triangles))
+    return tuple(sorted(per_node))
+
+
 def labeled_structure_buckets(a: int, m: int, max_deg: int,
                               triangle_free: bool):
     """Brute-force isomorphism classes of connected [2, max_deg]-degree
-    graphs with ``a`` nodes and ``m`` edges, bucketed with the permutation
-    oracle (independent of canonical forms)."""
+    graphs with ``a`` nodes and ``m`` edges, bucketed by ``_bucket_key`` and
+    told apart inside a bucket by the permutation oracle (independent of
+    canonical forms)."""
     from etskit.canon import are_isomorphic_oracle
 
     pairs = list(itertools.combinations(range(a), 2))
@@ -207,7 +226,7 @@ def labeled_structure_buckets(a: int, m: int, max_deg: int,
         if min(deg) < 2:
             return
         g = NormalGraph(a, [pairs[k] for k in chosen])
-        key = tuple(sorted(g.degrees))
+        key = _bucket_key(g)
         for other in buckets.setdefault(key, []):
             if are_isomorphic_oracle(g, other):
                 return

@@ -171,6 +171,17 @@ def test_verify_d3_g8(capsys):
     assert "0 diff(s)" in stdout
 
 
+@pytest.mark.parametrize("max_a", ["3", "0", "-1"])
+def test_verify_rejects_max_a_below_table(capsys, max_a):
+    # below the table's smallest a the row loop would be empty, and verify
+    # would report "0 diff(s)" having checked nothing
+    code, stdout, stderr = run(capsys, "verify", "--dl", "3", "--girth", "6",
+                               "--max-a", max_a)
+    assert code == 2
+    assert "diff" not in stdout
+    assert f"--max-a {max_a}" in stderr and "a range 4..9" in stderr
+
+
 def test_verify_extended_skip(capsys):
     code, stdout, _ = run(capsys, "verify", "--dl", "5", "--girth", "6",
                           "--max-a", "9")

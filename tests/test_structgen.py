@@ -5,14 +5,13 @@ from etskit.normal import NormalGraph
 from etskit.structgen import (
     Catalog,
     ClassSpec,
-    annotate_absorbing,
     class_feasible,
     format_catalog,
     generate_forms,
     generate_structures,
     parse_catalog,
 )
-from helpers import labeled_structure_buckets
+from helpers import annotate_absorbing, labeled_structure_buckets
 
 
 def test_class_feasible_parity():
@@ -30,22 +29,50 @@ def test_class_feasible_edge_cap():
     assert not verdict and "capacity" in verdict.reason
 
 
-def test_mantel_bound_skips_orderly_search(monkeypatch):
-    # girth 8 means a triangle-free normal graph, which has at most
-    # floor(a^2/4) edges (Mantel); (5,8,8,0) asks for 20 > 16
+def _count_canonical_calls(monkeypatch):
     from etskit import structgen
 
-    calls = 0
+    calls = [0]
     canonical_masks = structgen.canonical_masks
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return canonical_masks(*args)
 
     monkeypatch.setattr(structgen, "canonical_masks", counting)
+    return calls
+
+
+def test_mantel_bound_skips_orderly_search(monkeypatch):
+    # girth 8 means a triangle-free normal graph, which has at most
+    # floor(a^2/4) edges (Mantel); (5,8,8,0) asks for 20 > 16
+    calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(5, 8, 8, 0))) == 0
-    assert calls == 0
+    assert calls[0] == 0
+
+
+def test_key_first_deletion_skips_canonical_calls(monkeypatch):
+    # children whose added edge does not have the largest (degree pair,
+    # triangles) key are rejected before canonical labelling; choosing the
+    # deletion edge by canonical position alone took 33,030 calls here
+    calls = _count_canonical_calls(monkeypatch)
+    assert len(generate_structures(ClassSpec(4, 6, 8, 8))) == 250
+    assert calls[0] == 4595
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "a,m,max_deg,girth,total",
+    [
+        (8, 12, 4, 3, 250),  # sparse girth-6 cell d4g6 (8,8)
+        (7, 15, 5, 3, 18),   # dense, grown as the complement: d5g6 (7,5)
+        (8, 12, 4, 4, 14),   # triangle-free: d4g8 (8,8)
+    ],
+)
+def test_generate_forms_yields_each_class_once(a, m, max_deg, girth, total, threads):
+    forms = generate_forms(a, m, max_deg, min_normal_girth=girth, threads=threads)
+    assert len(forms) == total
+    assert len(set(forms)) == len(forms)
 
 
 def test_class_feasible_ok():
