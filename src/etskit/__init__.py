@@ -9,13 +9,11 @@ from etskit.lss import (
     enumerate_tanner_cycles,
     expand_to_k,
     label_catalog,
-    one_expansion,
 )
 from etskit.normal import (
     NormalGraph,
     from_normal,
     normal_b,
-    normal_cycle_lengths,
     to_normal,
 )
 from etskit.search import SearchReport, coverage_query, find_etss
@@ -33,7 +31,6 @@ from etskit.tanner import (
     TannerGraph,
     TrappingSetRecord,
     classify,
-    compute_girth,
     gamma_split,
     parse_alist,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "class_feasible",
     "classify",
     "classify_lss",
-    "compute_girth",
     "coverage_query",
     "enumerate_tanner_cycles",
     "expand_to_k",
@@ -67,8 +63,6 @@ __all__ = [
     "kernel_backend",
     "label_catalog",
     "normal_b",
-    "normal_cycle_lengths",
-    "one_expansion",
     "parse_alist",
     "read_catalog",
     "to_normal",

@@ -1,19 +1,23 @@
-"""Layered-superset machinery: one-node expansion, expansion to size k,
-cycle enumeration, and the LSS classification of catalog structures.
+"""Layered-superset machinery: expansion to size k, cycle enumeration, and
+the LSS classification of catalog structures.
 
 A set S' of size a+1 in the pool can only extend an in-pool elementary set
 S of size a through a variable node with at least two edges into S's
 unsatisfied checks and none into its satisfied checks, so the one-step
-expansion below is complete: no candidate outside that scan exists.  The
-scan walks the unsatisfied-check adjacency and therefore touches at most
-b*(d_r - 1) distinct variables.
+expansion below, which scans only the variables of S's unsatisfied checks,
+misses no extension.
 
-Each grown set comes with its class: b(S ∪ {v}) = b(S) + d_l - 2*hits,
-where hits is the number of unsatisfied checks of S that v touches.  Those
-checks have degree 1, since S is elementary, and become satisfied.  An
-admissible v touches no satisfied check of S, so v's other d_l - hits
-checks are new degree-1 checks.  A grown set's b therefore needs no check
-count of its own.
+The expansion works on check bitmasks.  With ``vc[v]`` the checks of
+variable v, a set S is folded into ``odd``, the XOR of ``vc`` over S, which
+is S's unsatisfied checks (degree 1, since S is elementary), and
+``reached``, the OR, which is all of S's checks.  The candidates are the
+variables of the ``odd`` checks outside S: at most b*(d_r - 1) of them.
+A candidate v is admissible exactly when ``hits = |vc[v] & odd| >= 2`` and
+``|vc[v] & reached| == hits``, that is, when every check of S that v
+touches is an unsatisfied one.  The grown set's unsatisfied checks are
+``odd ^ vc[v]``: the hits become satisfied and v's other d_l - hits checks
+are new degree-1 checks.  So each grown set comes with its class,
+b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.
 
 Cycles up to length L are enumerated by a DFS from each variable ``start``
 over the nodes above it, pruned by BFS distances: a path of p nodes is
@@ -47,7 +51,8 @@ from typing import Iterable, Sequence
 from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue
-from etskit.tanner import TannerGraph, _chk_degrees, classify, members_of
+from etskit.tanner import TannerGraph, TrappingSetRecord
+from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
 MAX_K = 12
 
@@ -57,90 +62,63 @@ class ExpansionFrontier:
 
     def __init__(self):
         self.by_size: dict[int, dict[tuple[int, ...], int]] = {}
-        self.seeds: set[tuple[int, ...]] = set()
 
     def add(self, members: tuple[int, ...], b: int) -> None:
         self.by_size.setdefault(len(members), {}).setdefault(members, b)
-
-    def all_sets(self) -> list[tuple[int, ...]]:
-        out = []
-        for size in sorted(self.by_size):
-            out.extend(sorted(self.by_size[size]))
-        return out
-
-    def __contains__(self, members) -> bool:
-        members = tuple(sorted(members))
-        return members in self.by_size.get(len(members), ())
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.by_size.values())
 
 
-def _expand_members(
-    graph: TannerGraph, members: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Routine core: all one-node extensions of an in-pool elementary set,
-    each mapped to its ``b``."""
-    degs = _chk_degrees(graph, members)
-    odd = [c for c, d in degs.items() if d % 2]
-    smask = 0
-    for v in members:
-        smask |= 1 << v
-    counts: dict[int, int] = {}
-    for c in odd:
-        outside = graph.chk_vmask[c] & ~smask
-        while outside:
-            v = (outside & -outside).bit_length() - 1
-            outside &= outside - 1
-            counts[v] = counts.get(v, 0) + 1
-    # the scan above is bounded by b*(d_r - 1) distinct candidates
-    assert len(counts) <= len(odd) * max(graph.max_chk_degree - 1, 0)
-    grow = len(odd) + graph.d_l
-    out = {}
-    for v, hits in counts.items():
-        # admissible: every check of v that the set reaches is an odd one
-        if hits >= 2 and sum(c in degs for c in graph.var_adj[v]) == hits:
-            out[tuple(sorted(members + (v,)))] = grow - 2 * hits
-    return out
-
-
-def one_expansion(graph: TannerGraph, s: Iterable[int]) -> set[tuple[int, ...]]:
-    """All size-(|s|+1) in-pool ETSs containing ``s``."""
-    members = members_of(graph, s)
-    rec = classify(graph, members)
-    if not (rec.elementary and rec.in_t):
-        raise ValueError("expansion input is not an elementary set in the pool")
-    return set(_expand_members(graph, members))
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def expand_to_k(
-    graph: TannerGraph,
-    seeds: Iterable[Iterable[int]],
-    k: int,
-    _validate: bool = True,
+    graph: TannerGraph, seeds: Iterable[TrappingSetRecord], k: int
 ) -> ExpansionFrontier:
-    """Layered expansion of the seeds to every reachable set of size <= k."""
+    """Layered expansion of the seeds, ``classify`` records of elementary
+    in-pool sets, to every reachable set of size <= k."""
     if k > MAX_K:
         raise ValueError(f"k={k} above cap {MAX_K}")
     frontier = ExpansionFrontier()
-    for idx, seed in enumerate(seeds):
-        members = members_of(graph, seed)
-        if len(members) > k:
+    for idx, rec in enumerate(seeds):
+        if rec.a > k:
             continue
-        if _validate:
-            rec = classify(graph, members)
-            if not (rec.elementary and rec.in_t):
-                raise ValueError(f"seed {idx} is not an elementary set in the pool")
-        degs = _chk_degrees(graph, members)
-        frontier.add(members, sum(d % 2 for d in degs.values()))
-        frontier.seeds.add(members)
+        if not (rec.elementary and rec.in_t):
+            raise ValueError(f"seed {idx} is not an elementary set in the pool")
+        frontier.add(rec.members, rec.b)
+    vc = graph.var_cmask
+    cv = graph.chk_vmask
+    fanout = max(graph.max_chk_degree - 1, 0)
     for size in range(2, k):
-        layer = frontier.by_size.get(size)
-        if not layer:
-            continue
-        for members in sorted(layer):
-            for grown, b in _expand_members(graph, members).items():
-                frontier.add(grown, b)
+        grown = frontier.by_size.get(size + 1, {})
+        for members in frontier.by_size.get(size, ()):
+            smask = odd = reached = 0
+            for v in members:
+                smask |= 1 << v
+                odd ^= vc[v]
+                reached |= vc[v]
+            cands = 0
+            for c in _bits(odd):
+                cands |= cv[c]
+            cands &= ~smask
+            assert cands.bit_count() <= odd.bit_count() * fanout
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                checks = vc[low.bit_length() - 1]
+                hits = (checks & odd).bit_count()
+                if hits >= 2 and (checks & reached).bit_count() == hits:
+                    grown.setdefault(_bits(smask | low), (odd ^ checks).bit_count())
+        if grown:
+            frontier.by_size[size + 1] = grown
     return frontier
 
 

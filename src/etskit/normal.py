@@ -178,11 +178,6 @@ class CycleCensus:
         return self._sets.get(tanner_length, ())
 
 
-def normal_cycle_lengths(n: NormalGraph) -> CycleCensus:
-    """Census of every simple cycle, keyed by Tanner length."""
-    return CycleCensus(n)
-
-
 def to_text(n: NormalGraph) -> str:
     lines = [f"{n.n} {n.m}"]
     lines += [f"{i} {j}" for i, j in n.edges]

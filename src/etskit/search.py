@@ -17,13 +17,11 @@ import json
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 
-from etskit.lss import ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
+from etskit.lss import MAX_K, ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
 from etskit.structgen import ClassSpec
 from etskit.tables import NA, get_table
 from etskit.tanner import TannerGraph, classify
 from etskit.tanner import gamma_split  # noqa: F401  (patched by perfbench/tracing.py)
-
-MAX_SEARCH_K = 12
 
 GUARANTEED = "guaranteed"
 GUARANTEED_PARTIAL = "guaranteed-partial"
@@ -134,23 +132,22 @@ def find_etss(
 
     Runs in one process.  A set of size a+1 is reached from many parents
     of size a, so the layers are one shared frontier: split by seeds, each
-    share grows the sets it has in common with the others again.
+    share grows the sets it has in common with the others again.  The
+    seeds' ``classify`` records stream into the expansion, never held in a
+    list.  ``enumerate_tanner_cycles`` checks the cycle window.
     """
-    if k < 2 or k > MAX_SEARCH_K:
-        raise ValueError(f"k must be in 2..{MAX_SEARCH_K}")
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"k must be in 2..{MAX_K}")
     girth = graph.girth
-    if girth != float("inf") and not girth <= max_len <= girth + 12:
-        raise ValueError(f"max_len must be within [girth, girth+12] = [{girth}, {girth + 12}]")
     cycles = enumerate_tanner_cycles(graph, max_len) if girth != float("inf") else {}
-    seeds = []
-    for length in sorted(cycles):
-        for members in cycles[length]:
-            if len(members) > k:
-                continue
-            rec = classify(graph, members)
-            if rec.elementary and rec.in_t:
-                seeds.append(members)
-    frontier = expand_to_k(graph, seeds, k, _validate=False)
+    records = (
+        classify(graph, members)
+        for length in sorted(cycles)
+        for members in cycles[length]
+        if len(members) <= k
+    )
+    seeds = (rec for rec in records if rec.elementary and rec.in_t)
+    frontier = expand_to_k(graph, seeds, k)
 
     by_class: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for size, layer in frontier.by_size.items():

@@ -85,26 +85,16 @@ class ClassSpec:
         return (self.a * self.d_l - self.b) // 2
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
-def class_feasible(spec: ClassSpec) -> Feasibility:
-    """Cheap necessary conditions; "possibly feasible" is not a guarantee."""
+def class_feasible(spec: ClassSpec) -> Optional[str]:
+    """Why the class is empty by cheap necessary conditions, or None when
+    it is possibly feasible (which is not a guarantee)."""
     if spec.b > spec.a * (spec.d_l - 2):
-        return Feasibility(
-            False, f"b exceeds a*(d_l-2) = {spec.a * (spec.d_l - 2)}"
-        )
+        return f"b exceeds a*(d_l-2) = {spec.a * (spec.d_l - 2)}"
     if (spec.a * spec.d_l - spec.b) % 2 != 0:
-        return Feasibility(False, "parity: a*d_l - b must be even")
+        return "parity: a*d_l - b must be even"
     if spec.num_edges > spec.a * (spec.a - 1) // 2:
-        return Feasibility(False, "edge count exceeds simple-graph capacity")
-    return Feasibility(True, "possibly feasible")
+        return "edge count exceeds simple-graph capacity"
+    return None
 
 
 @dataclass(frozen=True)
@@ -378,9 +368,9 @@ def generate_forms(
 
 def generate_structures(spec: ClassSpec, threads: int = 1) -> Catalog:
     """Catalog of all non-isomorphic structures of the class, unlabeled."""
-    feas = class_feasible(spec)
-    if not feas:
-        return Catalog(spec=spec, entries=[], reason=feas.reason)
+    reason = class_feasible(spec)
+    if reason is not None:
+        return Catalog(spec=spec, entries=[], reason=reason)
     min_girth = 3 if spec.g == 6 else 4
     forms = generate_forms(
         spec.a, spec.num_edges, spec.d_l, min_girth, threads=threads

@@ -81,13 +81,12 @@ class TannerGraph:
     @cached_property
     def chk_vmask(self) -> tuple[int, ...]:
         """Per check, bitmask of incident variables."""
-        out = []
-        for vs in self.chk_adj:
-            m = 0
-            for v in vs:
-                m |= 1 << v
-            out.append(m)
-        return tuple(out)
+        return tuple(sum(1 << v for v in vs) for vs in self.chk_adj)
+
+    @cached_property
+    def var_cmask(self) -> tuple[int, ...]:
+        """Per variable, bitmask of incident checks."""
+        return tuple(sum(1 << c for c in cs) for cs in self.var_adj)
 
     @cached_property
     def max_chk_degree(self) -> int:
@@ -155,11 +154,6 @@ def _girth_of(var_adj: Sequence[Sequence[int]], num_chk: int) -> float:
         if best <= 4:  # bipartite minimum; nothing shorter can appear
             break
     return best
-
-
-def compute_girth(graph: TannerGraph) -> float:
-    """Recompute the girth from adjacency (infinity when acyclic)."""
-    return _girth_of(graph.var_adj, graph.num_chk)
 
 
 def _chk_degrees(graph: TannerGraph, members: tuple[int, ...]) -> dict[int, int]:

@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
-from etskit.lss import expand_to_k
+from etskit.lss import enumerate_tanner_cycles, expand_to_k
 from etskit.normal import CycleCensus, NormalGraph, from_normal
 from etskit.structgen import NA, CatalogEntry, _is_absorbing
 from etskit.tanner import TannerGraph, classify
@@ -134,11 +134,11 @@ def tanner_lss_label(structure: NormalGraph, d_l: int):
         seeds = [s for s in seeds if len(s) == normal_len]
         if not seeds:
             continue
-        for seed in seeds:
-            rec = classify(graph, seed)
+        records = [classify(graph, seed) for seed in seeds]
+        for rec in records:
             assert rec.elementary and rec.in_t, "cycle seed must be in the pool"
-        frontier = expand_to_k(graph, seeds, k=structure.n, _validate=False)
-        if full in frontier:
+        frontier = expand_to_k(graph, records, k=structure.n)
+        if full in frontier.by_size.get(structure.n, ()):
             return 2 * normal_len
     return NA
 
@@ -158,6 +158,27 @@ def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:
             continue
         (odd if deg % 2 else even).add(c)
     return odd, even
+
+
+def cycle_seeds(graph: TannerGraph, max_len: int) -> list:
+    """``classify`` records of the elementary in-pool cycle sets of
+    ``graph`` up to ``max_len``: the seeds of a search."""
+    cycles = enumerate_tanner_cycles(graph, max_len)
+    records = [classify(graph, s) for sets in cycles.values() for s in sets]
+    return [r for r in records if r.elementary and r.in_t]
+
+
+def one_expansion(graph: TannerGraph, s) -> dict:
+    """The library's one-step expansion of the in-pool elementary set
+    ``s``: every size-(|s|+1) in-pool ETS containing it, with its b."""
+    size = len(s) + 1
+    return expand_to_k(graph, [classify(graph, s)], size).by_size.get(size, {})
+
+
+def frontier_sets(frontier) -> list[tuple[int, ...]]:
+    """Every set of the frontier, by size, then by members."""
+    by_size = frontier.by_size
+    return [m for size in sorted(by_size) for m in sorted(by_size[size])]
 
 
 def brute_one_expansion(graph: TannerGraph, members) -> set:
@@ -282,11 +303,13 @@ def cycles_by_arrangement(n: NormalGraph) -> Counter:
     return counts
 
 
-def assert_nested(frontier) -> None:
-    """Every grown set keeps a one-smaller ancestor in the frontier."""
+def assert_nested(frontier, seeds) -> None:
+    """Every grown set keeps a one-smaller ancestor in the frontier; the
+    ``classify`` records in ``seeds`` need none."""
+    seed_sets = {rec.members for rec in seeds}
     for size, layer in frontier.by_size.items():
         for members in layer:
-            if members in frontier.seeds:
+            if members in seed_sets:
                 continue
             assert any(
                 tuple(m for m in members if m != v) in frontier.by_size.get(size - 1, ())

@@ -13,7 +13,7 @@ import pytest
 
 from etskit.canon import are_isomorphic_oracle, canonical_form
 from etskit.cli import main as cli_main
-from etskit.lss import enumerate_tanner_cycles, expand_to_k
+from etskit.lss import expand_to_k
 from etskit.normal import NormalGraph, from_normal, normal_b, to_normal
 from etskit.search import GUARANTEED, coverage_query, find_etss
 from etskit.structgen import NA, ClassSpec, class_feasible, generate_forms, generate_structures
@@ -22,6 +22,9 @@ from etskit.tanner import classify, gamma_split
 from helpers import (
     assert_nested,
     brute_one_expansion,
+    cycle_seeds,
+    frontier_sets,
+    one_expansion,
     labeled_structure_buckets,
     pool_ets_up_to,
     random_tanner,
@@ -137,7 +140,7 @@ def test_c2_nonexistence_desk():
         for b in range(0, 11):
             spec = ClassSpec(6, 8, a, b)
             assert len(generate_structures(spec)) == 0, ("d6 g8", a, b)
-            if class_feasible(spec):
+            if class_feasible(spec) is None:
                 checked += 1
             # d_l=5 above girth 8: triangle- and square-free normal graphs
             if (5 * a - b) % 2 == 0 and b <= 10:
@@ -165,22 +168,14 @@ def test_c3_one_expansion_oracle():
         seed += 1
         d_l, nv, nc = ((3, 20, 32) if seed % 3 else (4, 16, 40))
         g = random_tanner(nv, d_l, nc, seed=5000 + seed)
-        cycles = enumerate_tanner_cycles(
-            g, int(g.girth) if g.girth != float("inf") else 0
-        ) if g.girth != float("inf") else {}
-        seeds = [
-            s for sets in cycles.values() for s in sets
-            if (r := classify(g, s)).elementary and r.in_t
-        ]
+        seeds = cycle_seeds(g, int(g.girth)) if g.girth != float("inf") else []
         if not seeds:
             continue
         graphs += 1
         frontier = expand_to_k(g, seeds[:3], k=min(6, nv))
-        probe = seeds[:2] + frontier.all_sets()[-2:]
+        probe = [rec.members for rec in seeds[:2]] + frontier_sets(frontier)[-2:]
         for s in probe:
-            from etskit.lss import one_expansion
-
-            assert one_expansion(g, s) == brute_one_expansion(g, s)
+            assert set(one_expansion(g, s)) == brute_one_expansion(g, s)
             comparisons += 1
     assert graphs >= 100 and comparisons >= 300
     print(f"ACCEPTANCE C3 one_expansion: PASS ({graphs} graphs, {comparisons} comparisons)")
@@ -193,7 +188,7 @@ def test_c3_generation_vs_bruteforce_bucketing():
             for a in range(4, 8):
                 for b in range(0, min(10, a * (d_l - 2)) + 1):
                     spec = ClassSpec(d_l, g, a, b)
-                    if not class_feasible(spec):
+                    if class_feasible(spec) is not None:
                         continue
                     slow = labeled_structure_buckets(
                         a, spec.num_edges, d_l, triangle_free=(g == 8)
@@ -251,7 +246,7 @@ def test_c3_find_etss_vs_exhaustive():
     for g in graphs:
         max_len = int(g.girth) + 4
         report, frontier = find_etss(g, k=6, max_len=max_len)
-        assert_nested(frontier)
+        assert_nested(frontier, cycle_seeds(g, max_len))
         found = {
             (c.a, c.b): set(map(tuple, c.sets)) for c in report.classes
         }
@@ -297,14 +292,10 @@ def test_c4_structural_invariants(catalogs):
     # nesting of freshly built frontiers
     for seed in (4, 9):
         g = random_tanner(18, 3, 28, seed=seed, girth_exactly=6)
-        cycles = enumerate_tanner_cycles(g, int(g.girth) + 2)
-        seeds = [
-            s for sets in cycles.values() for s in sets
-            if (r := classify(g, s)).elementary and r.in_t
-        ]
+        seeds = cycle_seeds(g, int(g.girth) + 2)
         frontier = expand_to_k(g, seeds, k=7)
-        assert_nested(frontier)
-        for members in frontier.all_sets():
+        assert_nested(frontier, seeds)
+        for members in frontier_sets(frontier):
             rec = classify(g, members)
             assert rec.elementary and rec.in_t
             if g.d_l == 3:

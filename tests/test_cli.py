@@ -7,7 +7,7 @@ import pytest
 from etskit import cli
 from etskit.cli import main
 from etskit.normal import from_normal
-from helpers import brute_gamma, random_tanner, to_alist
+from helpers import brute_gamma, frontier_sets, random_tanner, to_alist
 
 
 def run(capsys, *argv):
@@ -231,7 +231,7 @@ def test_search_sets_out(tmp_path, capsys, ets54):
     _, frontier = find_etss(ets54, k=5, max_len=6)
     expected = [
         f"{len(m)}\t{len(brute_gamma(ets54, m)[0])}\t{','.join(map(str, m))}"
-        for m in frontier.all_sets()
+        for m in frontier_sets(frontier)
     ]
     assert tsv.read_text().splitlines() == expected
     assert any(ln.startswith("5\t4\t") for ln in tsv.read_text().splitlines())

@@ -2,20 +2,16 @@ import random
 
 import pytest
 
-from etskit.lss import (
-    classify_lss,
-    enumerate_tanner_cycles,
-    expand_to_k,
-    lss_label_of,
-    one_expansion,
-)
-from etskit.normal import from_normal, normal_cycle_lengths
+from etskit.lss import classify_lss, enumerate_tanner_cycles, expand_to_k, lss_label_of
+from etskit.normal import CycleCensus, from_normal
 from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
 from helpers import (
     assert_nested,
     brute_gamma,
     brute_one_expansion,
+    cycle_seeds,
+    one_expansion,
     random_tanner,
     tanner_lss_label,
     tutte_coxeter,
@@ -26,7 +22,7 @@ from helpers import (
 def test_one_expansion_ets62(ets62_normal):
     g = from_normal(ets62_normal, 4)
     grown = one_expansion(g, [2, 3, 5])
-    assert grown == {(0, 2, 3, 5), (2, 3, 4, 5)}
+    assert set(grown) == {(0, 2, 3, 5), (2, 3, 4, 5)}
     classes = sorted(
         (classify(g, s).a, classify(g, s).b) for s in grown
     )
@@ -35,7 +31,7 @@ def test_one_expansion_ets62(ets62_normal):
 
 def test_one_expansion_of_zero_b_set_is_empty(prism):
     g = from_normal(prism, 3)
-    assert one_expansion(g, range(6)) == set()
+    assert one_expansion(g, range(6)) == {}
 
 
 def test_one_expansion_requires_pool_membership(prism):
@@ -53,31 +49,28 @@ def test_one_expansion_matches_brute_force():
         seed += 1
         dl = rng.choice((3, 3, 4))
         g = random_tanner(18, dl, 30 if dl == 3 else 40, seed=seed)
-        cycles = enumerate_tanner_cycles(g, int(g.girth))
-        seeds = [s for sets in cycles.values() for s in sets]
-        pool_seeds = [
-            s for s in seeds
-            if (r := classify(g, s)).elementary and r.in_t
-        ]
+        pool_seeds = cycle_seeds(g, int(g.girth))
         if not pool_seeds:
             continue
         graphs += 1
-        for s in pool_seeds[:4]:
-            assert one_expansion(g, s) == brute_one_expansion(g, s)
+        for rec in pool_seeds[:4]:
+            s = rec.members
+            assert set(one_expansion(g, s)) == brute_one_expansion(g, s)
             comparisons += 1
     assert comparisons >= 30
 
 
 def test_expand_growth_chain(growth_chain_graph):
     g = growth_chain_graph
-    frontier = expand_to_k(g, [(0, 1, 2)], k=5)
-    assert (0, 1, 2, 3) in frontier
+    seeds = [classify(g, (0, 1, 2))]
+    frontier = expand_to_k(g, seeds, k=5)
+    assert (0, 1, 2, 3) in frontier.by_size.get(4, ())
     rec = classify(g, (0, 1, 2, 3))
     assert (rec.a, rec.b) == (4, 2)
-    assert (0, 1, 2, 3, 4) in frontier
+    assert (0, 1, 2, 3, 4) in frontier.by_size.get(5, ())
     rec = classify(g, (0, 1, 2, 3, 4))
     assert (rec.a, rec.b) == (5, 1)
-    assert_nested(frontier)
+    assert_nested(frontier, seeds)
 
 
 def test_expansion_records_each_sets_b():
@@ -85,11 +78,7 @@ def test_expansion_records_each_sets_b():
     checked = 0
     for dl, nv, nc in ((3, 24, 24), (4, 16, 24)):
         g = random_tanner(nv, dl, nc, seed=11, girth_exactly=6)
-        seeds = [
-            s for sets in enumerate_tanner_cycles(g, 10).values() for s in sets
-            if len(s) <= 7 and (r := classify(g, s)).elementary and r.in_t
-        ]
-        frontier = expand_to_k(g, seeds, k=7)
+        frontier = expand_to_k(g, cycle_seeds(g, 10), k=7)
         assert frontier.by_size.get(7), dl
         for layer in frontier.by_size.values():
             for members, b in layer.items():
@@ -106,29 +95,31 @@ def test_expand_empty_seed_list(growth_chain_graph):
 def test_expand_blocked_chain(blocked_chain_graph):
     g = blocked_chain_graph
     full = tuple(range(6))
-    blocked = expand_to_k(g, [(0, 1, 2)], k=6)
-    assert full not in blocked
+    blocked = expand_to_k(g, [classify(g, (0, 1, 2))], k=6)
+    assert full not in blocked.by_size.get(6, ())
     assert len(blocked) == 1  # the triangle cannot grow at all
-    via_cycle = expand_to_k(g, [(2, 3, 4, 5)], k=6)
-    assert full in via_cycle
-    assert (0, 2, 3, 4, 5) in via_cycle
-    assert_nested(via_cycle)
+    seeds = [classify(g, (2, 3, 4, 5))]
+    via_cycle = expand_to_k(g, seeds, k=6)
+    assert full in via_cycle.by_size.get(6, ())
+    assert (0, 2, 3, 4, 5) in via_cycle.by_size.get(5, ())
+    assert_nested(via_cycle, seeds)
 
 
 def test_expand_rejects_bad_seed(prism):
     g = from_normal(prism, 3)
     with pytest.raises(ValueError, match="seed 1"):
-        expand_to_k(g, [(0, 1, 2), (0, 4)], k=4)
+        expand_to_k(g, [classify(g, (0, 1, 2)), classify(g, (0, 4))], k=4)
 
 
 def test_expand_k_cap(prism):
     g = from_normal(prism, 3)
     with pytest.raises(ValueError, match="cap"):
-        expand_to_k(g, [(0, 1, 2)], k=13)
+        expand_to_k(g, [classify(g, (0, 1, 2))], k=13)
 
 
 def test_candidate_scan_bound():
-    # the one_expansion scan is structurally bounded by b * (d_r - 1)
+    # the candidates of a one-step expansion, the variables of the set's
+    # unsatisfied checks, are structurally bounded by b * (d_r - 1)
     rng = random.Random(5)
     for seed in range(12):
         g = random_tanner(16, 3, 24, seed=700 + seed)
@@ -154,7 +145,7 @@ def test_enumerate_cycles_examples(ets54, ets54_normal, k33):
     assert set(sets6) == {6}
     assert all(len(s) == 3 for s in sets6[6])
     # 6-cycles of the expansion are exactly the triangles of the structure
-    assert set(sets6[6]) == set(normal_cycle_lengths(ets54_normal).node_sets(6))
+    assert set(sets6[6]) == set(CycleCensus(ets54_normal).node_sets(6))
 
     tree = TannerGraph.from_var_adj([(0, 1, 2), (0, 3, 4), (1, 5, 6)], 7)
     assert enumerate_tanner_cycles(tree, 10) == {}
@@ -176,7 +167,7 @@ def test_enumerate_cycles_dedupes_node_sets():
     from etskit.normal import NormalGraph
 
     k4 = NormalGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    census = normal_cycle_lengths(k4)
+    census = CycleCensus(k4)
     assert census.counts[8] == 3
     assert len(census.node_sets(8)) == 1
     g = from_normal(k4, 3)
@@ -224,11 +215,12 @@ def test_classify_lss_na_cases(catalogs):
     entry = next(e for e in catalogs(3, 6, 8, 2).entries if e.lss == NA)
     n = entry.normal_graph()
     g = from_normal(n, 3)
-    census = normal_cycle_lengths(n)
+    census = CycleCensus(n)
     full = tuple(range(n.n))
     for length in census.tanner_lengths:
-        frontier = expand_to_k(g, census.node_sets(length), k=n.n)
-        assert full not in frontier
+        seeds = [classify(g, s) for s in census.node_sets(length)]
+        frontier = expand_to_k(g, seeds, k=n.n)
+        assert full not in frontier.by_size.get(n.n, ())
 
 
 def test_labels_monotone(catalogs):
@@ -237,14 +229,15 @@ def test_labels_monotone(catalogs):
             continue
         n = entry.normal_graph()
         g = from_normal(n, 3)
-        census = normal_cycle_lengths(n)
+        census = CycleCensus(n)
         full = tuple(range(n.n))
         for length in census.tanner_lengths:
-            frontier = expand_to_k(g, census.node_sets(length), k=n.n)
+            seeds = [classify(g, s) for s in census.node_sets(length)]
+            frontier = expand_to_k(g, seeds, k=n.n)
             if length < entry.lss:
-                assert full not in frontier
+                assert full not in frontier.by_size.get(n.n, ())
             elif length == entry.lss:
-                assert full in frontier
+                assert full in frontier.by_size.get(n.n, ())
 
 
 def test_prop2_every_six_cycle_expands(catalogs):
@@ -253,11 +246,11 @@ def test_prop2_every_six_cycle_expands(catalogs):
     for entry in cat.entries:
         n = entry.normal_graph()
         g = from_normal(n, 4)
-        census = normal_cycle_lengths(n)
+        census = CycleCensus(n)
         full = tuple(range(6))
         for seed in census.node_sets(6):
-            frontier = expand_to_k(g, [seed], k=6)
-            assert full in frontier, (entry.form.hex(), seed)
+            frontier = expand_to_k(g, [classify(g, seed)], k=6)
+            assert full in frontier.by_size.get(6, ()), (entry.form.hex(), seed)
 
 
 def test_pure_cycle_structure_is_its_own_label(catalogs):

@@ -5,12 +5,12 @@ import pytest
 
 from etskit.errors import GraphConstraintError
 from etskit.normal import (
+    CycleCensus,
     NormalGraph,
     from_graph6,
     from_normal,
     from_text,
     normal_b,
-    normal_cycle_lengths,
     to_graph6,
     to_normal,
     to_text,
@@ -91,18 +91,18 @@ def test_b_consistency(ets54, ets54_normal):
 
 def test_cycle_census_triangle():
     tri = NormalGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert normal_cycle_lengths(tri).counts == {6: 1}
+    assert CycleCensus(tri).counts == {6: 1}
 
 
 def test_cycle_census_prism(prism):
-    census = normal_cycle_lengths(prism)
+    census = CycleCensus(prism)
     assert census.counts[6] == 2
     assert census.counts[8] == 3
     assert census.counts == {6: 2, 8: 3, 10: 6, 12: 3}
 
 
 def test_cycle_census_k33(k33):
-    census = normal_cycle_lengths(k33)
+    census = CycleCensus(k33)
     assert 6 not in census.counts
     # every pair of left nodes with every pair of right nodes: nine 8-cycles
     assert census.counts[8] == 9
@@ -131,7 +131,7 @@ def test_cycle_census_matches_arrangement_oracle():
         if len(reach) != n:
             continue
         g = NormalGraph(n, edges)
-        assert dict(normal_cycle_lengths(g).counts) == dict(
+        assert dict(CycleCensus(g).counts) == dict(
             cycles_by_arrangement(g)
         )
 
@@ -139,13 +139,13 @@ def test_cycle_census_matches_arrangement_oracle():
 def test_cycle_census_ten_node_case():
     g = NormalGraph(10, [(i, (i + 1) % 10) for i in range(10)]
                     + [(0, 5), (2, 7)])
-    assert dict(normal_cycle_lengths(g).counts) == dict(cycles_by_arrangement(g))
+    assert dict(CycleCensus(g).counts) == dict(cycles_by_arrangement(g))
 
 
 def test_girth_correspondence(catalogs):
     for entry in catalogs(3, 6, 6, 0).entries:
         n = entry.normal_graph()
-        shortest = min(normal_cycle_lengths(n).counts)
+        shortest = min(CycleCensus(n).counts)
         assert from_normal(n, 3).girth == shortest
 
 

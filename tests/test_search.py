@@ -50,7 +50,7 @@ def test_guaranteed_iff_no_na_and_window_covers():
 def test_find_etss_on_expanded_structure(ets62_normal):
     g = from_normal(ets62_normal, 4)
     report, frontier = find_etss(g, k=6, max_len=6)
-    assert tuple(range(6)) in frontier
+    assert tuple(range(6)) in frontier.by_size.get(6, ())
     by_class = {(c.a, c.b): c for c in report.classes}
     assert by_class[(6, 2)].count == 1
     assert by_class[(6, 2)].guarantee == GUARANTEED
