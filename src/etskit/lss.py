@@ -8,10 +8,10 @@ expansion below, which scans only the variables of S's unsatisfied checks,
 misses no extension.
 
 The expansion works on check bitmasks.  With ``vc[v]`` the checks of
-variable v, a set S is folded into ``odd``, the XOR of ``vc`` over S, which
-is S's unsatisfied checks (degree 1, since S is elementary), and
-``reached``, the OR, which is all of S's checks.  The candidates are the
-variables of the ``odd`` checks outside S: at most b*(d_r - 1) of them.
+variable v, ``tanner.check_masks`` gives each set S its ``odd`` checks,
+here S's unsatisfied ones (degree 1, since S is elementary), and its
+``reached`` checks, all of them.  The candidates are the variables of the
+``odd`` checks outside S: at most b*(d_r - 1) of them.
 A candidate v is admissible exactly when ``hits = |vc[v] & odd| >= 2`` and
 ``|vc[v] & reached| == hits``, that is, when every check of S that v
 touches is an unsatisfied one.  The grown set's unsatisfied checks are
@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue
-from etskit.tanner import TannerGraph, TrappingSetRecord
+from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks, mask_bits
 from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
 MAX_K = 12
@@ -68,16 +68,6 @@ class ExpansionFrontier:
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.by_size.values())
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def expand_to_k(
@@ -100,13 +90,9 @@ def expand_to_k(
     for size in range(2, k):
         grown = frontier.by_size.get(size + 1, {})
         for members in frontier.by_size.get(size, ()):
-            smask = odd = reached = 0
-            for v in members:
-                smask |= 1 << v
-                odd ^= vc[v]
-                reached |= vc[v]
+            smask, odd, reached = check_masks(graph, members)
             cands = 0
-            for c in _bits(odd):
+            for c in mask_bits(odd):
                 cands |= cv[c]
             cands &= ~smask
             assert cands.bit_count() <= odd.bit_count() * fanout
@@ -116,7 +102,7 @@ def expand_to_k(
                 checks = vc[low.bit_length() - 1]
                 hits = (checks & odd).bit_count()
                 if hits >= 2 and (checks & reached).bit_count() == hits:
-                    grown.setdefault(_bits(smask | low), (odd ^ checks).bit_count())
+                    grown.setdefault(mask_bits(smask | low), (odd ^ checks).bit_count())
         if grown:
             frontier.by_size[size + 1] = grown
     return frontier

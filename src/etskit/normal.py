@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from etskit.errors import GraphConstraintError
-from etskit.tanner import TannerGraph, _chk_degrees, classify, members_of
+from etskit.tanner import TannerGraph, check_masks, classify, mask_bits, members_of
 
 
 def mask_connected(adj: Sequence[int]) -> bool:
@@ -76,7 +76,8 @@ class NormalGraph:
 
 
 def to_normal(graph: TannerGraph, s: Iterable[int]) -> NormalGraph:
-    """Reduce the induced subgraph of an elementary in-pool set."""
+    """Reduce the induced subgraph of an elementary in-pool set: each even
+    check has exactly two members, and that pair is one edge."""
     members = members_of(graph, s)
     rec = classify(graph, members)
     if not rec.elementary:
@@ -85,11 +86,11 @@ def to_normal(graph: TannerGraph, s: Iterable[int]) -> NormalGraph:
         raise GraphConstraintError(
             "set is disconnected or has a member with fewer than two satisfied checks"
         )
+    smask, odd, reached = check_masks(graph, members)
     index = {v: i for i, v in enumerate(members)}
     edges = [
-        [index[v] for v in graph.chk_adj[c] if v in index]
-        for c, d in _chk_degrees(graph, members).items()
-        if d == 2
+        [index[v] for v in mask_bits(graph.chk_vmask[c] & smask)]
+        for c in mask_bits(reached & ~odd)
     ]
     return NormalGraph(len(members), edges)
 

@@ -6,10 +6,18 @@ and check nodes are numbered independently from 0.
 
 For a variable set S, the neighbor checks split into the unsatisfied ones
 (odd degree in the induced subgraph) and the satisfied ones (even degree).
-``classify`` evaluates the (a, b) class, elementarity (all induced check
-degrees 1 or 2), membership in the pool of search-relevant sets (connected
-induced subgraph, every member touching at least two satisfied checks), and
-the absorbing property (every member strictly majority-satisfied).
+``check_masks`` folds S over the per-variable check bitmasks: ``odd``, the
+XOR, is the unsatisfied checks and ``reached``, the OR, all of S's checks.
+``classify`` reads from that fold the (a, b) class, b = |odd|;
+elementarity (all induced check degrees 1 or 2); membership in the pool of
+search-relevant sets (connected induced subgraph, every member touching at
+least two satisfied checks); and the absorbing property (every member
+strictly majority-satisfied).  With ``even = reached & ~odd``, S is
+elementary exactly when ``a*d_l == |odd| + 2*|even|``: S's checks take its
+a*d_l edges, an odd check at least 1 and an even one at least 2, with
+equality exactly when no check has degree 3 or more.  Connectivity walks
+through every check of S, odd or even: a check with one member reaches no
+other, so it needs no degree test.
 """
 
 from __future__ import annotations
@@ -59,8 +67,9 @@ class TannerGraph:
         chk = [[] for _ in range(num_chk)]
         for v, row in enumerate(rows):
             for c in row:
-                chk[c].append(v)
-        g = _girth_of(rows, num_chk)
+                chk[c].append(v)  # ascending v, so each list is sorted
+        chk_adj = tuple(map(tuple, chk))
+        g = _girth_of(rows, chk_adj)
         if g < MIN_GIRTH:
             raise GraphConstraintError(f"girth {g} below minimum {MIN_GIRTH}")
         return cls(
@@ -68,7 +77,7 @@ class TannerGraph:
             num_chk=num_chk,
             d_l=d_l,
             var_adj=rows,
-            chk_adj=tuple(tuple(sorted(c)) for c in chk),
+            chk_adj=chk_adj,
             girth=g,
         )
 
@@ -120,16 +129,14 @@ class TrappingSetRecord:
     absorbing: bool
 
 
-def _girth_of(var_adj: Sequence[Sequence[int]], num_chk: int) -> float:
+def _girth_of(
+    var_adj: Sequence[Sequence[int]], chk_adj: Sequence[Sequence[int]]
+) -> float:
     """Shortest cycle length in edges via BFS from every variable node."""
     nv = len(var_adj)
-    chk_adj = [[] for _ in range(num_chk)]
-    for v, row in enumerate(var_adj):
-        for c in row:
-            chk_adj[c].append(v)
-    # global ids: variables 0..nv-1, checks nv..nv+num_chk-1
+    # global ids: variables 0..nv-1, then the checks from nv on
     adj = [tuple(c + nv for c in row) for row in var_adj]
-    adj += [tuple(chk_adj[c]) for c in range(num_chk)]
+    adj += chk_adj
     best = inf
     for root in range(nv):
         dist = {root: 0}
@@ -156,49 +163,47 @@ def _girth_of(var_adj: Sequence[Sequence[int]], num_chk: int) -> float:
     return best
 
 
-def _chk_degrees(graph: TannerGraph, members: tuple[int, ...]) -> dict[int, int]:
-    smask = 0
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def check_masks(graph: TannerGraph, members: Iterable[int]) -> tuple[int, int, int]:
+    """``(smask, odd, reached)`` of a variable set: the bitmask of its
+    members, of its odd-degree checks and of all its checks."""
+    vc = graph.var_cmask
+    smask = odd = reached = 0
     for v in members:
         smask |= 1 << v
-    degs: dict[int, int] = {}
-    vmask = graph.chk_vmask
-    for v in members:
-        for c in graph.var_adj[v]:
-            if c not in degs:
-                degs[c] = (vmask[c] & smask).bit_count()
-    return degs
+        odd ^= vc[v]
+        reached |= vc[v]
+    return smask, odd, reached
 
 
 def gamma_split(graph: TannerGraph, s: Iterable[int]) -> GammaSplit:
     members = members_of(graph, s)
     if not members:
         raise ValueError("variable set is empty")
-    degs = _chk_degrees(graph, members)
-    odd = frozenset(c for c, d in degs.items() if d % 2 == 1)
-    even = frozenset(c for c, d in degs.items() if d % 2 == 0)
-    return GammaSplit(odd=odd, even=even)
+    _, odd, reached = check_masks(graph, members)
+    return GammaSplit(
+        odd=frozenset(mask_bits(odd)), even=frozenset(mask_bits(reached & ~odd))
+    )
 
 
-def _connected(graph: TannerGraph, members: tuple[int, ...], degs: dict[int, int]) -> bool:
-    if len(members) <= 1:
-        return True
-    smask = 0
-    for v in members:
-        smask |= 1 << v
+def _connected(graph: TannerGraph, members: tuple[int, ...], smask: int) -> bool:
     seen = 1 << members[0]
     stack = [members[0]]
     while stack:
-        v = stack.pop()
-        for c in graph.var_adj[v]:
-            if degs[c] < 2:
-                continue
+        for c in graph.var_adj[stack.pop()]:
             reach = graph.chk_vmask[c] & smask & ~seen
-            while reach:
-                w = (reach & -reach).bit_length() - 1
-                seen |= 1 << w
-                reach &= reach - 1
-                stack.append(w)
-    return seen.bit_count() == len(members)
+            seen |= reach
+            stack.extend(mask_bits(reach))
+    return seen == smask
 
 
 def classify(graph: TannerGraph, s: Iterable[int]) -> TrappingSetRecord:
@@ -206,19 +211,17 @@ def classify(graph: TannerGraph, s: Iterable[int]) -> TrappingSetRecord:
     members = members_of(graph, s)
     if not members:
         raise ValueError("variable set is empty")
-    degs = _chk_degrees(graph, members)
-    b = sum(1 for d in degs.values() if d % 2 == 1)
-    elementary = all(d <= 2 for d in degs.values())
-    sat_counts = [
-        sum(1 for c in graph.var_adj[v] if degs[c] % 2 == 0) for v in members
-    ]
-    in_t = all(n >= 2 for n in sat_counts) and _connected(graph, members, degs)
+    smask, odd, reached = check_masks(graph, members)
+    even = reached & ~odd
+    b = odd.bit_count()
+    sat_counts = [(graph.var_cmask[v] & even).bit_count() for v in members]
+    in_t = all(n >= 2 for n in sat_counts) and _connected(graph, members, smask)
     absorbing = all(2 * n > graph.d_l for n in sat_counts)
     return TrappingSetRecord(
         members=members,
         a=len(members),
         b=b,
-        elementary=elementary,
+        elementary=len(members) * graph.d_l == b + 2 * even.bit_count(),
         in_t=in_t,
         absorbing=absorbing,
     )

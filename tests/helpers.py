@@ -12,7 +12,7 @@ from dataclasses import replace
 from etskit.lss import enumerate_tanner_cycles, expand_to_k
 from etskit.normal import CycleCensus, NormalGraph, from_normal
 from etskit.structgen import NA, CatalogEntry, _is_absorbing
-from etskit.tanner import TannerGraph, classify
+from etskit.tanner import TannerGraph, TrappingSetRecord, classify
 
 
 def to_alist(g: TannerGraph) -> str:
@@ -158,6 +158,34 @@ def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:
             continue
         (odd if deg % 2 else even).add(c)
     return odd, even
+
+
+def brute_classify(graph: TannerGraph, members) -> TrappingSetRecord:
+    """The ``classify`` record by naive per-check degree counts over
+    ``chk_adj``: the oracle for the bitmask predicates of ``classify``."""
+    members = tuple(sorted(set(members)))
+    inside = set(members)
+    deg = [sum(1 for v in vs if v in inside) for vs in graph.chk_adj]
+    touched = [c for c in range(graph.num_chk) if deg[c]]
+    sat = {v: sum(1 for c in graph.var_adj[v] if deg[c] % 2 == 0) for v in members}
+    # connectivity through checks with two or more members
+    seen, stack = {members[0]}, [members[0]]
+    while stack:
+        v = stack.pop()
+        for c in graph.var_adj[v]:
+            if deg[c] >= 2:
+                for w in graph.chk_adj[c]:
+                    if w in inside and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return TrappingSetRecord(
+        members=members,
+        a=len(members),
+        b=sum(1 for c in touched if deg[c] % 2),
+        elementary=all(deg[c] <= 2 for c in touched),
+        in_t=len(seen) == len(members) and all(n >= 2 for n in sat.values()),
+        absorbing=all(2 * n > graph.d_l for n in sat.values()),
+    )
 
 
 def cycle_seeds(graph: TannerGraph, max_len: int) -> list:

@@ -13,6 +13,7 @@ from etskit.tanner import (
     parse_alist,
 )
 from helpers import (
+    brute_classify,
     brute_gamma,
     cycle_seeds,
     frontier_sets,
@@ -183,6 +184,35 @@ def test_classify_nonabsorbing_with_degree2_node(nonabsorbing66):
     assert (rec.a, rec.b) == (6, 6)
     assert rec.elementary and rec.in_t
     assert not rec.absorbing
+
+
+def test_classify_matches_brute_oracle():
+    rng = random.Random(7)
+    for d_l, num_chk in ((3, 12), (4, 20), (5, 28)):
+        g = random_tanner(16, d_l, num_chk, seed=1)
+        # every subset of size <= 4 holds each check of degree 3 and 4 whole
+        assert g.max_chk_degree >= 4
+        for size in range(1, 5):
+            for combo in itertools.combinations(range(16), size):
+                assert classify(g, combo) == brute_classify(g, combo)
+        for _ in range(2000):
+            combo = rng.sample(range(16), rng.randrange(1, 17))
+            assert classify(g, combo) == brute_classify(g, combo)
+
+
+def test_classify_joins_parts_through_odd_check():
+    # three 6-cycles on {0,1,2}, {3,4,5}, {6,7,8}, joined only by one
+    # degree-3 check on 0, 3 and 6; every other variable has a free check
+    rows = []
+    for part in range(3):
+        c, free = 3 * part, 10 + 2 * part
+        rows += [(c, c + 2, 9), (c, c + 1, free), (c + 1, c + 2, free + 1)]
+    g = TannerGraph.from_var_adj(rows, 16)
+    assert g.girth == 6
+    rec = classify(g, range(9))
+    assert (rec.a, rec.b) == (9, 7)
+    assert not rec.elementary and rec.in_t and rec.absorbing
+    assert rec == brute_classify(g, range(9))
 
 
 def test_classify_d3_pool_implies_absorbing():
