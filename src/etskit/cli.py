@@ -105,7 +105,7 @@ def cmd_classify(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        graph = parse_alist(Path(args.alist).read_text())
+        graph = parse_alist(Path(args.alist).read_bytes())
     except AlistParseError as exc:
         print(f"error: {args.alist}: {exc}", file=sys.stderr)
         return EXIT_INPUT

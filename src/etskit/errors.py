@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class EtsError(Exception):
     """Base class for all toolkit errors."""
@@ -26,3 +28,15 @@ class BindingError(EtsError):
 
 class NodeCapError(EtsError):
     """Canonical labeling was asked for a graph above the node cap."""
+
+
+def decode_utf8(data: bytes, error: Callable[[int, str], EtsError]) -> str:
+    """``data`` as UTF-8 text.  An undecodable byte raises ``error(line,
+    message)``, with the byte's 1-based line as ``str.splitlines`` numbers
+    the text before it."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = len((head + "?").splitlines())  # "?" stands in for the bad byte
+        raise error(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from exc

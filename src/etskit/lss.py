@@ -50,8 +50,10 @@ from typing import Iterable, Sequence
 
 from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
-from etskit.structgen import NA, CatalogEntry, Catalog, LssLabelValue
+from etskit.structgen import CatalogEntry, Catalog
+from etskit.tables import NA, Label
 from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks, mask_bits
+from etskit.tanner import node_adjacency
 from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
 MAX_K = 12
@@ -132,12 +134,10 @@ def enumerate_tanner_cycles(
             raise ValueError(f"max_len {max_len} below girth {girth}")
         if max_len > girth + 12:
             raise ValueError(f"max_len {max_len} above girth+12 cap")
-    nv = graph.num_var
-    adj = [tuple(c + nv for c in row) for row in graph.var_adj]
-    adj += [graph.chk_adj[c] for c in range(graph.num_chk)]
+    adj = node_adjacency(graph.var_adj, graph.chk_adj)
     found: dict[int, set[tuple[int, ...]]] = {}
     far = max_len + 1  # the distance of every node the BFS does not reach
-    for start in range(nv):
+    for start in range(graph.num_var):
         dist = [far] * len(adj)
         dist[start] = 0
         layer = [start]
@@ -162,7 +162,7 @@ def enumerate_tanner_cycles(
     return {length: sorted(found[length]) for length in sorted(found)}
 
 
-def classify_lss(entry: CatalogEntry) -> LssLabelValue:
+def classify_lss(entry: CatalogEntry) -> Label:
     """Smallest Tanner cycle length whose cycles expand to the structure."""
     return lss_label_of(entry.normal_graph(), entry.spec.d_l)
 
@@ -182,7 +182,7 @@ def _closure(adj: Sequence[int], members: tuple[int, ...]) -> int:
     return s
 
 
-def lss_label_of(structure: NormalGraph, d_l: int) -> LssLabelValue:
+def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
     check_degree_cap(structure, d_l)
     adj = structure.adj_masks
     full = (1 << structure.n) - 1

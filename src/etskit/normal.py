@@ -18,21 +18,7 @@ from typing import Iterable, Sequence
 
 from etskit.errors import GraphConstraintError
 from etskit.tanner import TannerGraph, check_masks, classify, mask_bits, members_of
-
-
-def mask_connected(adj: Sequence[int]) -> bool:
-    """Whether the graph of the per-node neighbour bitmasks is connected."""
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        new = adj[v] & ~seen
-        while new:
-            w = (new & -new).bit_length() - 1
-            new &= new - 1
-            seen |= 1 << w
-            stack.append(w)
-    return seen == (1 << len(adj)) - 1
+from etskit.tanner import mask_connected
 
 
 @dataclass(frozen=True)
@@ -55,7 +41,7 @@ class NormalGraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         if n < 1:
             raise GraphConstraintError("normal graph needs at least one node")
-        if not mask_connected(self.adj_masks):
+        if not mask_connected(self.adj_masks, (1 << n) - 1):
             raise GraphConstraintError("normal graph must be connected")
 
     @cached_property

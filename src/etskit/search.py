@@ -12,10 +12,9 @@ substituted.
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from collections import Counter
+from dataclasses import dataclass
 
 from etskit.lss import MAX_K, ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
 from etskit.structgen import ClassSpec
@@ -54,7 +53,6 @@ class ClassReport:
     b: int
     count: int
     guarantee: str
-    sets: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -65,10 +63,8 @@ class SearchReport:
     k: int
     max_len: int
     classes: list[ClassReport]
+    frontier: ExpansionFrontier  # the sets found, each with its b
     include_sets: bool = False
-
-    def total_sets(self) -> int:
-        return sum(c.count for c in self.classes)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -83,28 +79,22 @@ class SearchReport:
             ],
         }
         if self.include_sets:
-            out["sets"] = [
-                {"a": c.a, "b": c.b, "members": list(m)}
-                for c in self.classes
-                for m in c.sets
-            ]
+            layers = self.frontier.by_size.items()
+            sets = sorted((a, b, m) for a, layer in layers for m, b in layer.items())
+            out["sets"] = [{"a": a, "b": b, "members": list(m)} for a, b, m in sets]
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def export_lines(self) -> list[str]:
-        """One line per set, by size then members: ``a<TAB>b<TAB>members``.
-
-        The classes of one size are merged, so the ``b`` of each set comes
-        from its class and is not computed again.
-        """
-        lines = []
-        for a, group in groupby(self.classes, key=lambda c: c.a):
-            tagged = [zip(c.sets, repeat(c.b)) for c in group]
-            for members, b in heapq.merge(*tagged):
-                lines.append(f"{a}\t{b}\t{','.join(str(v) for v in members)}")
-        return lines
+        """One line per set, by size then members: ``a<TAB>b<TAB>members``."""
+        by_size = self.frontier.by_size
+        return [
+            f"{a}\t{by_size[a][m]}\t{','.join(map(str, m))}"
+            for a in sorted(by_size)
+            for m in sorted(by_size[a])
+        ]
 
 
 def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
@@ -149,19 +139,11 @@ def find_etss(
     seeds = (rec for rec in records if rec.elementary and rec.in_t)
     frontier = expand_to_k(graph, seeds, k)
 
-    by_class: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for size, layer in frontier.by_size.items():
-        for members, b in layer.items():
-            by_class.setdefault((size, b), []).append(members)
+    layers = frontier.by_size.items()
+    counts = Counter((size, b) for size, layer in layers for b in layer.values())
     classes = [
-        ClassReport(
-            a=a,
-            b=b,
-            count=len(sets),
-            guarantee=_guarantee_for(graph, a, b, max_len),
-            sets=sorted(sets),
-        )
-        for (a, b), sets in sorted(by_class.items())
+        ClassReport(a=a, b=b, count=n, guarantee=_guarantee_for(graph, a, b, max_len))
+        for (a, b), n in sorted(counts.items())
     ]
     report = SearchReport(
         code=code_id or graph.key,
@@ -170,6 +152,7 @@ def find_etss(
         k=k,
         max_len=max_len,
         classes=classes,
+        frontier=frontier,
         include_sets=include_sets,
     )
     return report, frontier

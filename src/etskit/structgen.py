@@ -49,16 +49,15 @@ from pathlib import Path
 from typing import Optional, Union
 
 from etskit.canon import CanonicalForm, canonical_masks
-from etskit.errors import GraphConstraintError
-from etskit.normal import NormalGraph, check_degree_cap, mask_connected
+from etskit.errors import GraphConstraintError, decode_utf8
+from etskit.normal import NormalGraph, check_degree_cap
+from etskit.tables import NA, Label
+from etskit.tanner import mask_connected
 
-NA = "NA"
 MIN_DL, MAX_DL = 3, 6
 MIN_A, MAX_A = 4, 10
 MAX_B = 10
 GIRTHS = (6, 8)
-
-LssLabelValue = Union[int, str]  # Tanner cycle length, or NA
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class CatalogEntry:
     form: CanonicalForm
     spec: ClassSpec
     absorbing: bool
-    lss: Optional[LssLabelValue] = None  # None = not yet classified
+    lss: Optional[Label] = None  # None = not yet classified
 
     def normal_graph(self) -> NormalGraph:
         return self.form.decode()
@@ -121,8 +120,8 @@ class Catalog:
     def absorbing_count(self) -> int:
         return sum(1 for e in self.entries if e.absorbing)
 
-    def label_histogram(self, absorbing_only: bool = False) -> dict[LssLabelValue, int]:
-        hist: dict[LssLabelValue, int] = {}
+    def label_histogram(self, absorbing_only: bool = False) -> dict[Label, int]:
+        hist: dict[Label, int] = {}
         for e in self.entries:
             if absorbing_only and not e.absorbing:
                 continue
@@ -352,16 +351,16 @@ def generate_forms(
     raw = [final for part in parts for final in part]
 
     forms = []
+    full = (1 << a) - 1
     if complemented:
-        full = (1 << a) - 1
         for adj, _ in raw:
             orig = [full & ~x & ~(1 << v) for v, x in enumerate(adj)]
-            if not mask_connected(orig):
+            if not mask_connected(orig, full):
                 continue
             form, _ = canonical_masks(a, orig)
             forms.append(form)
     else:
-        forms = [form for adj, form in raw if mask_connected(adj)]
+        forms = [form for adj, form in raw if mask_connected(adj, full)]
     forms.sort()
     return [CanonicalForm(f) for f in forms]
 
@@ -409,7 +408,7 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
         raise GraphConstraintError(f"bad canonical form in {ln!r}") from exc
     if parts[1] not in ("0", "1"):
         raise GraphConstraintError(f"bad absorbing flag in {ln!r}")
-    lss: Optional[LssLabelValue]
+    lss: Optional[Label]
     if parts[2] == "?":
         lss = None
     elif parts[2] == NA:
@@ -492,4 +491,7 @@ def write_catalog(catalog: Catalog, path: Union[str, Path]) -> None:
 
 
 def read_catalog(path: Union[str, Path]) -> Catalog:
-    return parse_catalog(Path(path).read_text())
+    text = decode_utf8(
+        Path(path).read_bytes(), lambda line, msg: GraphConstraintError(f"line {line}: {msg}")
+    )
+    return parse_catalog(text)

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Union
 
 NA = "NA"
 
-Label = Union[int, str]
+Label = Union[int, str]  # an LSS label: a Tanner cycle length, or NA
 Row = dict[str, dict[Label, int]]
 
 

@@ -15,20 +15,21 @@ least two satisfied checks); and the absorbing property (every member
 strictly majority-satisfied).  With ``even = reached & ~odd``, S is
 elementary exactly when ``a*d_l == |odd| + 2*|even|``: S's checks take its
 a*d_l edges, an odd check at least 1 and an even one at least 2, with
-equality exactly when no check has degree 3 or more.  Connectivity walks
-through every check of S, odd or even: a check with one member reaches no
-other, so it needs no degree test.
+equality exactly when no check has degree 3 or more.  Connectivity floods
+``var_vmask``, each variable's neighbours through any of its checks, odd or
+even: a check with one member reaches no other, so it needs no degree test.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import inf
+from operator import or_
 from typing import Iterable, Sequence, Union
 
-from etskit.errors import AlistParseError, BindingError, GraphConstraintError
+from etskit.errors import AlistParseError, BindingError, GraphConstraintError, decode_utf8
 
 MIN_LEFT_DEGREE = 3
 MIN_GIRTH = 6
@@ -98,13 +99,22 @@ class TannerGraph:
         return tuple(sum(1 << c for c in cs) for cs in self.var_adj)
 
     @cached_property
+    def var_vmask(self) -> tuple[int, ...]:
+        """Per variable, bitmask of the variables of its checks."""
+        cv = self.chk_vmask
+        return tuple(reduce(or_, (cv[c] for c in cs)) for cs in self.var_adj)
+
+    @cached_property
     def max_chk_degree(self) -> int:
         return max((len(c) for c in self.chk_adj), default=0)
 
 
 def members_of(graph: TannerGraph, s: Iterable[int]) -> tuple[int, ...]:
-    """Sorted distinct variable ids of ``s``, checked against ``graph``."""
+    """Sorted distinct variable ids of ``s``, which must not be empty,
+    checked against ``graph``."""
     members = tuple(sorted(set(s)))
+    if not members:
+        raise ValueError("variable set is empty")
     for v in members:
         if v < 0 or v >= graph.num_var:
             raise BindingError(f"variable {v} out of range")
@@ -129,16 +139,22 @@ class TrappingSetRecord:
     absorbing: bool
 
 
+def node_adjacency(
+    var_adj: Sequence[Sequence[int]], chk_adj: Sequence[Sequence[int]]
+) -> list[Sequence[int]]:
+    """Neighbours of every Tanner node under one numbering: the variables
+    ``0..num_var-1``, then check ``c`` as ``num_var + c``."""
+    nv = len(var_adj)
+    return [tuple(c + nv for c in row) for row in var_adj] + list(chk_adj)
+
+
 def _girth_of(
     var_adj: Sequence[Sequence[int]], chk_adj: Sequence[Sequence[int]]
 ) -> float:
     """Shortest cycle length in edges via BFS from every variable node."""
-    nv = len(var_adj)
-    # global ids: variables 0..nv-1, then the checks from nv on
-    adj = [tuple(c + nv for c in row) for row in var_adj]
-    adj += chk_adj
+    adj = node_adjacency(var_adj, chk_adj)
     best = inf
-    for root in range(nv):
+    for root in range(len(var_adj)):
         dist = {root: 0}
         parent = {root: -1}
         queue = [root]
@@ -173,6 +189,19 @@ def mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mask_connected(adj: Sequence[int], nodes: int) -> bool:
+    """Whether the non-empty node bitmask ``nodes`` is connected in the
+    graph of the per-node neighbour bitmasks ``adj``, using only the edges
+    between its own nodes."""
+    seen = nodes & -nodes
+    stack = [seen.bit_length() - 1]
+    while stack:
+        new = adj[stack.pop()] & nodes & ~seen
+        seen |= new
+        stack.extend(mask_bits(new))
+    return seen == nodes
+
+
 def check_masks(graph: TannerGraph, members: Iterable[int]) -> tuple[int, int, int]:
     """``(smask, odd, reached)`` of a variable set: the bitmask of its
     members, of its odd-degree checks and of all its checks."""
@@ -187,35 +216,20 @@ def check_masks(graph: TannerGraph, members: Iterable[int]) -> tuple[int, int, i
 
 def gamma_split(graph: TannerGraph, s: Iterable[int]) -> GammaSplit:
     members = members_of(graph, s)
-    if not members:
-        raise ValueError("variable set is empty")
     _, odd, reached = check_masks(graph, members)
     return GammaSplit(
         odd=frozenset(mask_bits(odd)), even=frozenset(mask_bits(reached & ~odd))
     )
 
 
-def _connected(graph: TannerGraph, members: tuple[int, ...], smask: int) -> bool:
-    seen = 1 << members[0]
-    stack = [members[0]]
-    while stack:
-        for c in graph.var_adj[stack.pop()]:
-            reach = graph.chk_vmask[c] & smask & ~seen
-            seen |= reach
-            stack.extend(mask_bits(reach))
-    return seen == smask
-
-
 def classify(graph: TannerGraph, s: Iterable[int]) -> TrappingSetRecord:
     """Full predicate record for a variable set; pure in its inputs."""
     members = members_of(graph, s)
-    if not members:
-        raise ValueError("variable set is empty")
     smask, odd, reached = check_masks(graph, members)
     even = reached & ~odd
     b = odd.bit_count()
     sat_counts = [(graph.var_cmask[v] & even).bit_count() for v in members]
-    in_t = all(n >= 2 for n in sat_counts) and _connected(graph, members, smask)
+    in_t = all(n >= 2 for n in sat_counts) and mask_connected(graph.var_vmask, smask)
     absorbing = all(2 * n > graph.d_l for n in sat_counts)
     return TrappingSetRecord(
         members=members,
@@ -246,7 +260,7 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
     zero padding ignored).
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = decode_utf8(text, AlistParseError)
     lines = list(_int_lines(text))
     if not lines:
         raise AlistParseError(1, "empty alist")

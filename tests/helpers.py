@@ -209,6 +209,15 @@ def frontier_sets(frontier) -> list[tuple[int, ...]]:
     return [m for size in sorted(by_size) for m in sorted(by_size[size])]
 
 
+def sets_by_class(frontier) -> dict[tuple[int, int], set[tuple[int, ...]]]:
+    """The frontier's sets, keyed by their ``(a, b)`` class."""
+    out: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    for size, layer in frontier.by_size.items():
+        for members, b in layer.items():
+            out.setdefault((size, b), set()).add(members)
+    return out
+
+
 def brute_one_expansion(graph: TannerGraph, members) -> set:
     """All v whose addition yields an in-pool elementary superset."""
     members = tuple(sorted(members))

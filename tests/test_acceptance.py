@@ -28,6 +28,7 @@ from helpers import (
     labeled_structure_buckets,
     pool_ets_up_to,
     random_tanner,
+    sets_by_class,
     to_alist,
     tutte_coxeter,
 )
@@ -249,9 +250,7 @@ def test_c3_find_etss_vs_exhaustive():
         max_len = int(g.girth) + 4
         report, frontier = find_etss(g, k=6, max_len=max_len)
         assert_nested(frontier, cycle_seeds(g, max_len))
-        found = {
-            (c.a, c.b): set(map(tuple, c.sets)) for c in report.classes
-        }
+        found = sets_by_class(frontier)
         brute = {}
         for members, b in pool_ets_up_to(g, 6):
             brute.setdefault((len(members), b), set()).add(members)

@@ -131,6 +131,30 @@ def test_search_bad_alist(tmp_path, capsys):
     assert "bad.alist" in stderr  # file context alongside the line number
 
 
+def test_search_undecodable_alist(tmp_path, capsys):
+    alist = tmp_path / "bad.alist"
+    alist.write_bytes(b"2 3\n3 2\n3 \xff3\n")
+    code, _, stderr = run(capsys, "search", "--alist", str(alist),
+                          "--k", "5", "--max-cycle-len", "6",
+                          "--out", str(tmp_path / "r.json"))
+    assert code == 3
+    assert "bad.alist" in stderr and "line 3" in stderr and "0xff" in stderr
+
+
+def test_classify_undecodable_catalog(tmp_path, capsys):
+    cat = tmp_path / "c.cat"
+    code, _, _ = run(capsys, "gen", "--dl", "3", "--girth", "6",
+                     "--a", "6", "--b", "4", "--out", str(cat), "--no-lss")
+    assert code == 0
+    data = cat.read_bytes()
+    cat.write_bytes(data + b"\xfe\t0\t?\n")
+    lines = len(data.splitlines())
+    code, _, stderr = run(capsys, "classify", "--catalog", str(cat))
+    assert code == 3
+    assert f"line {lines + 1}" in stderr and "0xfe" in stderr
+    assert cat.read_bytes() == data + b"\xfe\t0\t?\n"
+
+
 def test_search_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "search", "--alist", str(tmp_path / "nope"),
                           "--k", "5", "--max-cycle-len", "6",

@@ -15,7 +15,14 @@ from etskit.search import (
 from etskit.structgen import ClassSpec
 from etskit.tables import NA, get_table
 from etskit.tanner import TannerGraph, classify
-from helpers import pool_ets_up_to, random_tanner, to_alist, tutte_coxeter
+from helpers import (
+    frontier_sets,
+    pool_ets_up_to,
+    random_tanner,
+    sets_by_class,
+    to_alist,
+    tutte_coxeter,
+)
 
 
 def test_coverage_examples():
@@ -50,6 +57,7 @@ def test_guaranteed_iff_no_na_and_window_covers():
 def test_find_etss_on_expanded_structure(ets62_normal):
     g = from_normal(ets62_normal, 4)
     report, frontier = find_etss(g, k=6, max_len=6)
+    assert report.frontier is frontier
     assert tuple(range(6)) in frontier.by_size.get(6, ())
     by_class = {(c.a, c.b): c for c in report.classes}
     assert by_class[(6, 2)].count == 1
@@ -73,11 +81,9 @@ def test_find_etss_parameter_errors(ets54):
 
 def test_find_etss_monotone_in_max_len():
     g = random_tanner(20, 3, 30, seed=42, girth_exactly=6)
-    small, _ = find_etss(g, k=6, max_len=6)
-    large, _ = find_etss(g, k=6, max_len=10)
-    small_sets = {tuple(m) for c in small.classes for m in c.sets}
-    large_sets = {tuple(m) for c in large.classes for m in c.sets}
-    assert small_sets <= large_sets
+    _, small = find_etss(g, k=6, max_len=6)
+    _, large = find_etss(g, k=6, max_len=10)
+    assert set(frontier_sets(small)) <= set(frontier_sets(large))
 
 
 def test_find_etss_matches_exhaustive_on_guaranteed_classes():
@@ -89,9 +95,10 @@ def test_find_etss_matches_exhaustive_on_guaranteed_classes():
         max_len = 6 + 4
         report, frontier = find_etss(g, k=k, max_len=max_len)
         assert frontier.by_size.get(k), (dl, seed)
-        found = {}
-        for c in report.classes:
-            found[(c.a, c.b)] = set(map(tuple, c.sets))
+        found = sets_by_class(frontier)
+        assert {(c.a, c.b): c.count for c in report.classes} == {
+            cls: len(sets) for cls, sets in found.items()
+        }
         brute = {}
         for members, b in pool_ets_up_to(g, k):
             brute.setdefault((len(members), b), set()).add(members)
@@ -117,6 +124,7 @@ def test_find_etss_on_girth8_code():
     assert g.girth == 8
     report, frontier = find_etss(g, k=6, max_len=12)
     found = {(c.a, c.b): c for c in report.classes}
+    found_sets = sets_by_class(frontier)
     brute = {}
     for members, b in pool_ets_up_to(g, 6):
         brute.setdefault((len(members), b), set()).add(members)
@@ -125,7 +133,7 @@ def test_find_etss_on_girth8_code():
         if table.in_scope(a, b) and coverage_query(
             ClassSpec(3, 8, a, b), 12
         ) == GUARANTEED:
-            assert set(map(tuple, found[(a, b)].sets)) == sets
+            assert found_sets[(a, b)] == sets
     # (4,4) sets are exactly the 8-cycle variable sets; frozen from the
     # exhaustive-subsets oracle above
     assert found[(4, 4)].count == 90
@@ -147,6 +155,20 @@ def test_report_json_shape(ets62_normal, tmp_path):
     assert data["k"] == 6 and data["max_len"] == 6
     assert {"a", "b", "count", "guarantee"} <= set(data["classes"][0])
     assert all({"a", "b", "members"} <= set(s) for s in data["sets"])
+
+
+def test_report_set_orders(ets62_normal):
+    # JSON ``sets`` run by (a, b, members); ``--sets-out`` lines by (a, members)
+    g = from_normal(ets62_normal, 4)
+    report, _ = find_etss(g, k=6, max_len=6, include_sets=True)
+    size4 = [(4, 6, [0, 2, 3, 5]), (4, 6, [0, 2, 4, 5]), (4, 6, [1, 2, 3, 4]),
+             (4, 6, [1, 3, 4, 5])]
+    sets = [(s["a"], s["b"], s["members"]) for s in report.to_json_dict()["sets"]]
+    assert [s for s in sets if s[0] == 4] == [(4, 4, [2, 3, 4, 5])] + size4
+    lines = [ln for ln in report.export_lines() if ln.startswith("4\t")]
+    assert lines == [f"4\t6\t{','.join(map(str, m))}" for _, _, m in size4] + [
+        "4\t4\t2,3,4,5"
+    ]
 
 
 def test_girth_above_tables_is_uncharacterized():

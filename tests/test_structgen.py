@@ -186,7 +186,7 @@ def test_annotate_absorbing(catalogs):
 
 def test_dense_and_sparse_paths_agree():
     # (6,6,7,2) runs through the complement path; rebuild it directly
-    from etskit.normal import mask_connected
+    from etskit.tanner import mask_connected
     from etskit.structgen import _GenTask, _run_subtree
     from etskit.canon import canonical_masks
 
@@ -198,7 +198,7 @@ def test_dense_and_sparse_paths_agree():
     raw = _run_subtree(task, root, 0, form0)
     direct = sorted(
         form for adj, form in raw
-        if mask_connected(adj) and all(m.bit_count() >= 2 for m in adj)
+        if mask_connected(adj, (1 << 7) - 1) and all(m.bit_count() >= 2 for m in adj)
     )
     assert [e.form.data for e in dense.entries] == direct
 

@@ -10,6 +10,7 @@ from etskit.tanner import (
     TannerGraph,
     classify,
     gamma_split,
+    mask_connected,
     parse_alist,
 )
 from helpers import (
@@ -267,3 +268,35 @@ def test_disconnected_set_not_in_pool(prism):
     # two vertices on opposite triangles sharing no check
     rec = classify(g, [0, 4])
     assert not rec.in_t
+
+
+def test_mask_connected_uses_only_edges_inside_the_mask():
+    # the path 0-1-2-3, and 4 joined to nothing
+    adj = [0b0010, 0b0101, 0b1010, 0b0100, 0]
+    assert mask_connected(adj, 0b01111)
+    assert not mask_connected(adj, 0b11111)
+    # {0, 2} is joined through 1 in the whole graph, but not inside {0, 2}
+    assert not mask_connected(adj, 0b00101)
+    assert mask_connected(adj, 0b00110)
+    assert mask_connected(adj, 0b10000)
+
+
+def test_var_vmask_joins_variables_sharing_a_check(prism):
+    g = from_normal(prism, 3)
+    for v, mask in enumerate(g.var_vmask):
+        joined = {w for c in g.var_adj[v] for w in g.chk_adj[c]}
+        assert mask == sum(1 << w for w in joined)
+    full = (1 << g.num_var) - 1
+    assert mask_connected(g.var_vmask, full)
+    # the triangle {0, 1, 2} is connected, {0, 4} is not (see above)
+    assert mask_connected(g.var_vmask, 0b111)
+    assert not mask_connected(g.var_vmask, 0b10001)
+
+
+def test_parse_rejects_undecodable_byte_with_its_line(ets54):
+    data = to_alist(ets54).encode()
+    third = data.index(b"\n", data.index(b"\n") + 1) + 1
+    with pytest.raises(AlistParseError) as err:
+        parse_alist(data[:third] + b"\xff" + data[third:])
+    assert err.value.line == 3
+    assert "0xff" in str(err.value)
