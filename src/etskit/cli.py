@@ -109,19 +109,18 @@ def cmd_search(args) -> int:
     except AlistParseError as exc:
         print(f"error: {args.alist}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report, _ = find_etss(
+    report = find_etss(
         graph,
         k=args.k,
         max_len=args.max_cycle_len,
         code_id=args.code_id or Path(args.alist).stem,
-        include_sets=args.sets,
     )
-    write_text_atomic(args.out, report.to_json())
+    write_text_atomic(args.out, report.to_json(args.sets))
     if args.sets_out:
         lines = report.export_lines()
         write_text_atomic(args.sets_out, "\n".join(lines) + ("\n" if lines else ""))
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(report.to_json(args.sets))
     else:
         sys.stdout.write(format_report_table(report))
     return EXIT_OK

@@ -149,6 +149,8 @@ def enumerate_tanner_cycles(
                         dist[w] = depth
                         nxt.append(w)
             layer = nxt
+            if not layer:  # an acyclic graph may have a window far beyond its depth
+                break
         stack = [(start, (start,))]
         while stack:
             v, path = stack.pop()

@@ -64,9 +64,8 @@ class SearchReport:
     max_len: int
     classes: list[ClassReport]
     frontier: ExpansionFrontier  # the sets found, each with its b
-    include_sets: bool = False
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, sets: bool = False) -> dict:
         out = {
             "code": self.code,
             "dl": self.d_l,
@@ -78,14 +77,14 @@ class SearchReport:
                 for c in self.classes
             ],
         }
-        if self.include_sets:
+        if sets:
             layers = self.frontier.by_size.items()
-            sets = sorted((a, b, m) for a, layer in layers for m, b in layer.items())
-            out["sets"] = [{"a": a, "b": b, "members": list(m)} for a, b, m in sets]
+            rows = sorted((a, b, m) for a, layer in layers for m, b in layer.items())
+            out["sets"] = [{"a": a, "b": b, "members": list(m)} for a, b, m in rows]
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    def to_json(self, sets: bool = False) -> str:
+        return json.dumps(self.to_json_dict(sets), sort_keys=True, indent=2) + "\n"
 
     def export_lines(self) -> list[str]:
         """One line per set, by size then members: ``a<TAB>b<TAB>members``."""
@@ -111,25 +110,19 @@ def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
     return verdict
 
 
-def find_etss(
-    graph: TannerGraph,
-    k: int,
-    max_len: int,
-    code_id: str = "",
-    include_sets: bool = False,
-) -> tuple[SearchReport, ExpansionFrontier]:
+def find_etss(graph: TannerGraph, k: int, max_len: int, code_id: str = "") -> SearchReport:
     """All in-pool ETSs of size <= k reachable from cycles up to max_len.
 
     Runs in one process.  A set of size a+1 is reached from many parents
     of size a, so the layers are one shared frontier: split by seeds, each
     share grows the sets it has in common with the others again.  The
     seeds' ``classify`` records stream into the expansion, never held in a
-    list.  ``enumerate_tanner_cycles`` checks the cycle window.
+    list.  ``enumerate_tanner_cycles`` checks the cycle window and finds
+    no cycle in an acyclic graph.
     """
     if not 2 <= k <= MAX_K:
         raise ValueError(f"k must be in 2..{MAX_K}")
-    girth = graph.girth
-    cycles = enumerate_tanner_cycles(graph, max_len) if girth != float("inf") else {}
+    cycles = enumerate_tanner_cycles(graph, max_len)
     records = (
         classify(graph, members)
         for length in sorted(cycles)
@@ -145,17 +138,15 @@ def find_etss(
         ClassReport(a=a, b=b, count=n, guarantee=_guarantee_for(graph, a, b, max_len))
         for (a, b), n in sorted(counts.items())
     ]
-    report = SearchReport(
+    return SearchReport(
         code=code_id or graph.key,
         d_l=graph.d_l,
-        girth=int(girth) if girth != float("inf") else -1,
+        girth=int(graph.girth) if graph.girth != float("inf") else -1,
         k=k,
         max_len=max_len,
         classes=classes,
         frontier=frontier,
-        include_sets=include_sets,
     )
-    return report, frontier
 
 
 def format_report_table(report: SearchReport) -> str:

@@ -428,6 +428,11 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
     check_degree_cap(graph, spec.d_l)
     if min(graph.degrees) < 2:
         raise GraphConstraintError(f"{parts[0]} has a node of degree below 2")
+    adj = graph.adj_masks
+    if spec.g == 8 and any(adj[i] & adj[j] for i, j in graph.edges):
+        raise GraphConstraintError(
+            f"{parts[0]} has a triangle, a Tanner 6-cycle in a girth-8 class"
+        )
     absorbing = _is_absorbing(graph.degrees, spec.d_l)
     if parts[1] != ("1" if absorbing else "0"):
         raise GraphConstraintError(

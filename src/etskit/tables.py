@@ -247,13 +247,9 @@ TABLES: dict[tuple[int, int], ReferenceTable] = {
 
 
 def get_table(d_l: int, g) -> Optional[ReferenceTable]:
-    try:
-        gi = int(g)
-    except (OverflowError, ValueError):
-        return None
-    if gi != g:
-        return None
-    return TABLES.get((d_l, gi))
+    """The table of ``(d_l, g)``; ``g == 6.0`` finds the girth-6 table,
+    and an infinite or fractional girth none."""
+    return TABLES.get((d_l, g))
 
 
 def _canonical_dump() -> str:

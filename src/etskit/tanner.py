@@ -269,8 +269,9 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
     def take(what: str) -> tuple[int, list[int]]:
         nonlocal pos
         if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise AlistParseError(last + 1, f"unexpected end of file, expected {what}")
+            raise AlistParseError(
+                lines[-1][0] + 1, f"unexpected end of file, expected {what}"
+            )
         item = lines[pos]
         pos += 1
         return item
@@ -289,46 +290,39 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
     if len(cdegs) != m:
         raise AlistParseError(lineno, f"expected {m} check degrees, got {len(cdegs)}")
 
+    def neighbor_lines(kind: str, other: str, degs: list[int], bound: int):
+        """Per ``kind`` node, its line and sorted 0-based ``other`` ids,
+        checked against the degree list, the range ``1..bound`` and
+        repeats."""
+        for i, deg in enumerate(degs, start=1):
+            lineno, entries = take(f"neighbor list of {kind} {i}")
+            ids = [e for e in entries if e != 0]
+            if len(ids) != deg:
+                raise AlistParseError(
+                    lineno, f"{kind} {i} lists {len(ids)} {other}s, degree list says {deg}"
+                )
+            for x in ids:
+                if x < 1 or x > bound:
+                    raise AlistParseError(lineno, f"{other} index {x} out of range 1..{bound}")
+            if len(set(ids)) != len(ids):
+                raise AlistParseError(lineno, f"parallel edge: {kind} {i} repeats a {other}")
+            yield lineno, tuple(sorted(x - 1 for x in ids))
+
     var_adj: list[tuple[int, ...]] = []
-    for v in range(n):
-        lineno, entries = take(f"neighbor list of variable {v + 1}")
-        ids = [e for e in entries if e != 0]
-        if len(ids) != vdegs[v]:
+    for lineno, row in neighbor_lines("variable", "check", vdegs, m):
+        if var_adj and len(row) != len(var_adj[0]):
             raise AlistParseError(
-                lineno,
-                f"variable {v + 1} lists {len(ids)} checks, degree list says {vdegs[v]}",
+                lineno, f"non-uniform variable degree: variable {len(var_adj) + 1}"
             )
-        for c in ids:
-            if c < 1 or c > m:
-                raise AlistParseError(lineno, f"check index {c} out of range 1..{m}")
-        if len(set(ids)) != len(ids):
-            raise AlistParseError(lineno, f"parallel edge: variable {v + 1} repeats a check")
-        if var_adj and len(ids) != len(var_adj[0]):
-            raise AlistParseError(lineno, f"non-uniform variable degree: variable {v + 1}")
-        var_adj.append(tuple(sorted(c - 1 for c in ids)))
+        var_adj.append(row)
+    chk_lines = list(neighbor_lines("check", "variable", cdegs, n))
 
-    chk_from_file: list[tuple[int, set[int]]] = []
-    for c in range(m):
-        lineno, entries = take(f"neighbor list of check {c + 1}")
-        ids = [e for e in entries if e != 0]
-        if len(ids) != cdegs[c]:
-            raise AlistParseError(
-                lineno,
-                f"check {c + 1} lists {len(ids)} variables, degree list says {cdegs[c]}",
-            )
-        for v in ids:
-            if v < 1 or v > n:
-                raise AlistParseError(lineno, f"variable index {v} out of range 1..{n}")
-        if len(set(ids)) != len(ids):
-            raise AlistParseError(lineno, f"parallel edge: check {c + 1} repeats a variable")
-        chk_from_file.append((lineno, {v - 1 for v in ids}))
-
-    derived = [set() for _ in range(m)]
+    derived: list[list[int]] = [[] for _ in range(m)]
     for v, row in enumerate(var_adj):
         for c in row:
-            derived[c].add(v)
-    for c, (lineno, listed) in enumerate(chk_from_file):
-        if derived[c] != listed:
+            derived[c].append(v)  # ascending v, so each list is sorted
+    for c, ((lineno, listed), want) in enumerate(zip(chk_lines, derived)):
+        if listed != tuple(want):
             raise AlistParseError(
                 lineno, f"check {c + 1} neighbor list disagrees with variable lists"
             )

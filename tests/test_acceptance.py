@@ -248,7 +248,8 @@ def test_c3_find_etss_vs_exhaustive():
     checked = 0
     for g in graphs:
         max_len = int(g.girth) + 4
-        report, frontier = find_etss(g, k=6, max_len=max_len)
+        report = find_etss(g, k=6, max_len=max_len)
+        frontier = report.frontier
         assert_nested(frontier, cycle_seeds(g, max_len))
         found = sets_by_class(frontier)
         brute = {}

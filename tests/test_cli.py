@@ -252,7 +252,7 @@ def test_search_sets_out(tmp_path, capsys, ets54):
     assert code == 0
     from etskit.search import find_etss
 
-    _, frontier = find_etss(ets54, k=5, max_len=6)
+    frontier = find_etss(ets54, k=5, max_len=6).frontier
     expected = [
         f"{len(m)}\t{len(brute_gamma(ets54, m)[0])}\t{','.join(map(str, m))}"
         for m in frontier_sets(frontier)

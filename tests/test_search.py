@@ -56,9 +56,8 @@ def test_guaranteed_iff_no_na_and_window_covers():
 
 def test_find_etss_on_expanded_structure(ets62_normal):
     g = from_normal(ets62_normal, 4)
-    report, frontier = find_etss(g, k=6, max_len=6)
-    assert report.frontier is frontier
-    assert tuple(range(6)) in frontier.by_size.get(6, ())
+    report = find_etss(g, k=6, max_len=6)
+    assert tuple(range(6)) in report.frontier.by_size.get(6, ())
     by_class = {(c.a, c.b): c for c in report.classes}
     assert by_class[(6, 2)].count == 1
     assert by_class[(6, 2)].guarantee == GUARANTEED
@@ -66,8 +65,10 @@ def test_find_etss_on_expanded_structure(ets62_normal):
 
 def test_find_etss_tree_is_empty():
     tree = TannerGraph.from_var_adj([(0, 1, 2), (0, 3, 4), (1, 5, 6)], 7)
-    report, frontier = find_etss(tree, k=6, max_len=10)
-    assert report.classes == [] and len(frontier) == 0
+    report = find_etss(tree, k=6, max_len=10)
+    assert report.classes == [] and len(report.frontier) == 0
+    # a window far beyond the tree's depth ends as soon as the BFS does
+    assert len(find_etss(tree, k=6, max_len=10**9).frontier) == 0
 
 
 def test_find_etss_parameter_errors(ets54):
@@ -81,8 +82,8 @@ def test_find_etss_parameter_errors(ets54):
 
 def test_find_etss_monotone_in_max_len():
     g = random_tanner(20, 3, 30, seed=42, girth_exactly=6)
-    _, small = find_etss(g, k=6, max_len=6)
-    _, large = find_etss(g, k=6, max_len=10)
+    small = find_etss(g, k=6, max_len=6).frontier
+    large = find_etss(g, k=6, max_len=10).frontier
     assert set(frontier_sets(small)) <= set(frontier_sets(large))
 
 
@@ -93,7 +94,8 @@ def test_find_etss_matches_exhaustive_on_guaranteed_classes():
     ):
         g = random_tanner(nv, dl, nc, seed=seed, girth_exactly=6)
         max_len = 6 + 4
-        report, frontier = find_etss(g, k=k, max_len=max_len)
+        report = find_etss(g, k=k, max_len=max_len)
+        frontier = report.frontier
         assert frontier.by_size.get(k), (dl, seed)
         found = sets_by_class(frontier)
         assert {(c.a, c.b): c.count for c in report.classes} == {
@@ -122,7 +124,8 @@ def test_find_etss_matches_exhaustive_on_guaranteed_classes():
 def test_find_etss_on_girth8_code():
     g = tutte_coxeter()
     assert g.girth == 8
-    report, frontier = find_etss(g, k=6, max_len=12)
+    report = find_etss(g, k=6, max_len=12)
+    frontier = report.frontier
     found = {(c.a, c.b): c for c in report.classes}
     found_sets = sets_by_class(frontier)
     brute = {}
@@ -142,14 +145,15 @@ def test_find_etss_on_girth8_code():
 
 def test_small_k_on_girth8_code_is_empty():
     g = tutte_coxeter()
-    report, frontier = find_etss(g, k=3, max_len=8)
+    report = find_etss(g, k=3, max_len=8)
     assert report.classes == []
 
 
 def test_report_json_shape(ets62_normal, tmp_path):
     g = from_normal(ets62_normal, 4)
-    report, _ = find_etss(g, k=6, max_len=6, code_id="ets62", include_sets=True)
-    data = json.loads(report.to_json())
+    report = find_etss(g, k=6, max_len=6, code_id="ets62")
+    assert "sets" not in json.loads(report.to_json())
+    data = json.loads(report.to_json(sets=True))
     assert data["code"] == "ets62"
     assert data["dl"] == 4 and data["g"] == 6
     assert data["k"] == 6 and data["max_len"] == 6
@@ -160,10 +164,10 @@ def test_report_json_shape(ets62_normal, tmp_path):
 def test_report_set_orders(ets62_normal):
     # JSON ``sets`` run by (a, b, members); ``--sets-out`` lines by (a, members)
     g = from_normal(ets62_normal, 4)
-    report, _ = find_etss(g, k=6, max_len=6, include_sets=True)
+    report = find_etss(g, k=6, max_len=6)
     size4 = [(4, 6, [0, 2, 3, 5]), (4, 6, [0, 2, 4, 5]), (4, 6, [1, 2, 3, 4]),
              (4, 6, [1, 3, 4, 5])]
-    sets = [(s["a"], s["b"], s["members"]) for s in report.to_json_dict()["sets"]]
+    sets = [(s["a"], s["b"], s["members"]) for s in report.to_json_dict(sets=True)["sets"]]
     assert [s for s in sets if s[0] == 4] == [(4, 4, [2, 3, 4, 5])] + size4
     lines = [ln for ln in report.export_lines() if ln.startswith("4\t")]
     assert lines == [f"4\t6\t{','.join(map(str, m))}" for _, _, m in size4] + [

@@ -258,6 +258,8 @@ def test_catalog_file_rejects_garbage():
         (f"{header}\n{row}\n{other}\n\n{row}\n", "line 5: duplicate of the row on line 2"),
         (f"{header}\n{other}\n{hexform}\t{flipped}\t{lss}\n",
          "line 3: absorbing flag .* contradicts the degrees"),
+        # a d_l = 3 (6,2) structure with a triangle, in a girth-8 class
+        ("# 3 8 6 2\n061af8\t1\t?\n", "line 2: 061af8 has a triangle"),
     ]
     for text, message in cases:
         with pytest.raises(GraphConstraintError, match=message):

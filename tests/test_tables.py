@@ -52,6 +52,8 @@ def test_get_table_handles_girth_values():
     assert get_table(3, 6.0) is TABLES[(3, 6)]
     assert get_table(3, float("inf")) is None
     assert get_table(3, 10) is None
+    for g in (float("nan"), 6.5, "6"):
+        assert get_table(3, g) is None
 
 
 def test_labels_are_at_least_girth():

@@ -112,6 +112,54 @@ def test_parse_malformed_header():
     assert err.value.line == 1
 
 
+# K4 with d_l = 3: a (4,0) structure; check c joins the ends of edge c
+_K4_ALIST = [
+    "4 6", "3 2", "3 3 3 3", "2 2 2 2 2 2",
+    "1 2 3", "1 4 5", "2 4 6", "3 5 6",
+    "1 2", "1 3", "1 4", "2 3", "2 4", "3 4",
+]
+
+
+def _k4_with(lines: dict[int, str]) -> str:
+    """The K4 alist with the given 1-based lines replaced."""
+    out = list(_K4_ALIST)
+    for lineno, text in lines.items():
+        out[lineno - 1] = text
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("\n\n", 1, "empty alist"),
+        ("\n".join(_K4_ALIST[:8]) + "\n", 9,
+         "unexpected end of file, expected neighbor list of check 1"),
+        (_k4_with({6: "1 x 5"}), 6, "non-integer token in ['1', 'x', '5']"),
+        (_k4_with({1: "4"}), 1, "malformed header, expected 'n m'"),
+        (_k4_with({2: "3"}), 2, "malformed max-degree line"),
+        (_k4_with({3: "3 3 3"}), 3, "expected 4 variable degrees, got 3"),
+        (_k4_with({4: "2 2 2 2 2"}), 4, "expected 6 check degrees, got 5"),
+        (_k4_with({6: "1 4"}), 6, "variable 2 lists 2 checks, degree list says 3"),
+        (_k4_with({6: "1 4 7"}), 6, "check index 7 out of range 1..6"),
+        (_k4_with({6: "1 4 4"}), 6, "parallel edge: variable 2 repeats a check"),
+        (_k4_with({11: "1"}), 11, "check 3 lists 1 variables, degree list says 2"),
+        (_k4_with({11: "1 5"}), 11, "variable index 5 out of range 1..4"),
+        (_k4_with({11: "1 1"}), 11, "parallel edge: check 3 repeats a variable"),
+        (_k4_with({3: "3 2 3 3", 6: "1 4"}), 6, "non-uniform variable degree: variable 2"),
+        (_k4_with({11: "2 4"}), 11, "check 3 neighbor list disagrees with variable lists"),
+        ("\n3 3\n2 2\n2 2 2\n2 2 2\n1 2\n2 3\n1 3\n1 3\n1 2\n2 3\n", 2,
+         "left degree 2 below minimum 3"),
+        ("\n".join(_alist_lines([(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)], 6)), 1,
+         "girth 4 below minimum 6"),
+    ],
+)
+def test_parse_alist_diagnostics(text, line, message):
+    assert parse_alist(_k4_with({})).num_var == 4  # the unchanged file is valid
+    with pytest.raises(AlistParseError) as err:
+        parse_alist(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
 def test_girth_of_acyclic_graph_is_infinite():
     # star: three variables meeting at one check, leaves elsewhere
     rows = [(0, 1, 2), (0, 3, 4), (0, 5, 6)]

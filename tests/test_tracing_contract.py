@@ -60,7 +60,7 @@ def test_tracer_counts_match_one_search():
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        _, frontier = search.find_etss(g, k=k, max_len=max_len)
+        frontier = search.find_etss(g, k=k, max_len=max_len).frontier
     finally:
         tracer.uninstall()
     assert len(cycle_sets) < sum(map(len, cycles.values()))
