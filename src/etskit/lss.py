@@ -8,16 +8,17 @@ expansion below, which scans only the variables of S's unsatisfied checks,
 misses no extension.
 
 The expansion works on check bitmasks.  With ``vc[v]`` the checks of
-variable v, ``tanner.check_masks`` gives each set S its ``odd`` checks,
-here S's unsatisfied ones (degree 1, since S is elementary), and its
-``reached`` checks, all of them.  The candidates are the variables of the
-``odd`` checks outside S: at most b*(d_r - 1) of them.
-A candidate v is admissible exactly when ``hits = |vc[v] & odd| >= 2`` and
-``|vc[v] & reached| == hits``, that is, when every check of S that v
-touches is an unsatisfied one.  The grown set's unsatisfied checks are
-``odd ^ vc[v]``: the hits become satisfied and v's other d_l - hits checks
-are new degree-1 checks.  So each grown set comes with its class,
-b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.
+variable v and ``cv[c]`` the variables of check c, ``tanner.check_masks``
+gives each set S its ``odd`` checks, here S's unsatisfied ones (degree 1,
+since S is elementary), and its ``reached`` checks, all of them.  Folding
+the odd checks as ``twice |= once & cv[c]``, then ``once |= cv[c]``, leaves
+in ``twice`` exactly the variables on two or more of them.  The variables
+of S and of its satisfied checks, ``reached & ~odd``, form ``bad``.  So the
+admissible variables are exactly ``twice & ~bad``: two edges into the
+unsatisfied checks and none into the satisfied ones.  The grown set's
+unsatisfied checks are ``odd ^ vc[v]``: the hits become satisfied and v's
+other checks are new degree-1 checks.  So each grown set comes with its
+class, b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.
 
 Cycles up to length L are enumerated by a DFS from each variable ``start``
 over the nodes above it, pruned by BFS distances: a path of p nodes is
@@ -65,9 +66,6 @@ class ExpansionFrontier:
     def __init__(self):
         self.by_size: dict[int, dict[tuple[int, ...], int]] = {}
 
-    def add(self, members: tuple[int, ...], b: int) -> None:
-        self.by_size.setdefault(len(members), {}).setdefault(members, b)
-
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.by_size.values())
 
@@ -85,26 +83,22 @@ def expand_to_k(
             continue
         if not (rec.elementary and rec.in_t):
             raise ValueError(f"seed {idx} is not an elementary set in the pool")
-        frontier.add(rec.members, rec.b)
+        frontier.by_size.setdefault(rec.a, {}).setdefault(rec.members, rec.b)
     vc = graph.var_cmask
     cv = graph.chk_vmask
-    fanout = max(graph.max_chk_degree - 1, 0)
     for size in range(2, k):
         grown = frontier.by_size.get(size + 1, {})
         for members in frontier.by_size.get(size, ()):
             smask, odd, reached = check_masks(graph, members)
-            cands = 0
+            once = twice = 0
             for c in mask_bits(odd):
-                cands |= cv[c]
-            cands &= ~smask
-            assert cands.bit_count() <= odd.bit_count() * fanout
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                checks = vc[low.bit_length() - 1]
-                hits = (checks & odd).bit_count()
-                if hits >= 2 and (checks & reached).bit_count() == hits:
-                    grown.setdefault(mask_bits(smask | low), (odd ^ checks).bit_count())
+                twice |= once & cv[c]
+                once |= cv[c]
+            bad = smask
+            for c in mask_bits(reached & ~odd):
+                bad |= cv[c]
+            for v in mask_bits(twice & ~bad):
+                grown.setdefault(mask_bits(smask | 1 << v), (odd ^ vc[v]).bit_count())
         if grown:
             frontier.by_size[size + 1] = grown
     return frontier

@@ -104,10 +104,6 @@ class TannerGraph:
         cv = self.chk_vmask
         return tuple(reduce(or_, (cv[c] for c in cs)) for cs in self.var_adj)
 
-    @cached_property
-    def max_chk_degree(self) -> int:
-        return max((len(c) for c in self.chk_adj), default=0)
-
 
 def members_of(graph: TannerGraph, s: Iterable[int]) -> tuple[int, ...]:
     """Sorted distinct variable ids of ``s``, which must not be empty,
@@ -257,7 +253,9 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
 
     Layout: ``n m`` header, max degrees, per-variable degrees, per-check
     degrees, then one neighbor line per variable and per check (1-indexed,
-    zero padding ignored).
+    zero padding ignored).  The max degrees must be the largest entries of
+    the two degree lists, and nothing but blank lines may follow the last
+    check's line.
     """
     if isinstance(text, bytes):
         text = decode_utf8(text, AlistParseError)
@@ -280,15 +278,21 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
     if len(header) != 2 or header[0] <= 0 or header[1] <= 0:
         raise AlistParseError(header_line, "malformed header, expected 'n m'")
     n, m = header
-    lineno, maxdeg = take("max degrees")
+    maxdeg_line, maxdeg = take("max degrees")
     if len(maxdeg) != 2:
-        raise AlistParseError(lineno, "malformed max-degree line")
+        raise AlistParseError(maxdeg_line, "malformed max-degree line")
     lineno, vdegs = take("variable degree list")
     if len(vdegs) != n:
         raise AlistParseError(lineno, f"expected {n} variable degrees, got {len(vdegs)}")
     lineno, cdegs = take("check degree list")
     if len(cdegs) != m:
         raise AlistParseError(lineno, f"expected {m} check degrees, got {len(cdegs)}")
+    if maxdeg != [max(vdegs), max(cdegs)]:
+        raise AlistParseError(
+            maxdeg_line,
+            f"max degrees {maxdeg[0]} {maxdeg[1]}, but the degree lists"
+            f" reach {max(vdegs)} {max(cdegs)}",
+        )
 
     def neighbor_lines(kind: str, other: str, degs: list[int], bound: int):
         """Per ``kind`` node, its line and sorted 0-based ``other`` ids,
@@ -316,6 +320,8 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
             )
         var_adj.append(row)
     chk_lines = list(neighbor_lines("check", "variable", cdegs, n))
+    if pos < len(lines):
+        raise AlistParseError(lines[pos][0], "extra line after the last check neighbor list")
 
     derived: list[list[int]] = [[] for _ in range(m)]
     for v, row in enumerate(var_adj):

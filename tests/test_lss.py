@@ -8,9 +8,10 @@ from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
 from helpers import (
     assert_nested,
-    brute_gamma,
+    brute_classify,
     brute_one_expansion,
     cycle_seeds,
+    frontier_sets,
     one_expansion,
     random_tanner,
     tanner_lss_label,
@@ -58,6 +59,15 @@ def test_one_expansion_matches_brute_force():
             assert set(one_expansion(g, s)) == brute_one_expansion(g, s)
             comparisons += 1
     assert comparisons >= 30
+    # dense codes, with checks of degree 4 and more, where a candidate often
+    # also touches a satisfied check: every set of a k=6 frontier
+    for dl, nc in ((3, 12), (4, 20)):
+        g = random_tanner(16, dl, nc, seed=1)
+        assert max(map(len, g.chk_adj)) >= 4
+        frontier = expand_to_k(g, cycle_seeds(g, int(g.girth) + 4), k=6)
+        assert frontier.by_size.get(6), dl
+        for s in frontier_sets(frontier):
+            assert set(one_expansion(g, s)) == brute_one_expansion(g, s), (dl, s)
 
 
 def test_expand_growth_chain(growth_chain_graph):
@@ -74,7 +84,9 @@ def test_expand_growth_chain(growth_chain_graph):
 
 
 def test_expansion_records_each_sets_b():
-    # the b carried through the layers equals a naive per-check count
+    # the b carried through the layers equals a naive per-check count, and
+    # the naive counts also find every set elementary and in the pool: the
+    # b alone cannot see a degree-3 check, which counts as odd
     checked = 0
     for dl, nv, nc in ((3, 24, 24), (4, 16, 24)):
         g = random_tanner(nv, dl, nc, seed=11, girth_exactly=6)
@@ -82,7 +94,8 @@ def test_expansion_records_each_sets_b():
         assert frontier.by_size.get(7), dl
         for layer in frontier.by_size.values():
             for members, b in layer.items():
-                assert b == len(brute_gamma(g, members)[0]), (dl, members)
+                rec = brute_classify(g, members)
+                assert (rec.b, rec.elementary, rec.in_t) == (b, True, True), (dl, members)
                 checked += 1
     assert checked >= 500
 
@@ -137,7 +150,7 @@ def test_candidate_scan_bound():
                 ]
                 for c in split_odd:
                     touched.update(v for v in g.chk_adj[c] if v not in smask)
-                assert len(touched) <= rec.b * (g.max_chk_degree - 1)
+                assert len(touched) <= rec.b * (max(map(len, g.chk_adj)) - 1)
 
 
 def test_enumerate_cycles_examples(ets54, ets54_normal, k33):
