@@ -1,7 +1,7 @@
 """Trapping-set structure catalogs and cycle-based search for
 variable-regular LDPC codes."""
 
-from etskit.canon import CanonicalForm, are_isomorphic_oracle, canonical_form
+from etskit.canon import CanonicalForm, canonical_form
 from etskit.kernel import backend as kernel_backend
 from etskit.lss import (
     ExpansionFrontier,
@@ -48,7 +48,6 @@ __all__ = [
     "SearchReport",
     "TannerGraph",
     "TrappingSetRecord",
-    "are_isomorphic_oracle",
     "canonical_form",
     "class_feasible",
     "classify",

@@ -5,14 +5,29 @@ relabeling-invariant byte string: one length byte, then the row-major
 upper-triangle adjacency bitmap of the lexicographically smallest
 relabeling.  Two graphs are isomorphic iff the byte strings are equal.
 
-The search is individualization-refinement: iterated neighbor-count
-refinement of an ordered partition, branching on the first non-singleton
-cell.  Cells whose members are mutually interchangeable (equal outside
-neighborhoods, cell internally empty or complete) branch only once.
+The search is individualization-refinement on an ordered partition, kept
+as a list of cells and one bitmask per cell.  Refinement runs in
+simultaneous passes: each vertex of a non-singleton cell is keyed by its
+neighbour counts in every cell as the cells stood when the pass began,
+and a cell that splits is replaced by its buckets in sorted key order,
+each bucket filled in cell order.  It stops when a pass splits nothing
+or every cell is a singleton.  The search then branches on the first
+non-singleton cell, individualizing its members in cell order; a cell
+whose members are mutually interchangeable (equal outside neighborhoods,
+cell internally empty, complete, a perfect matching or its complement)
+branches only once.  A leaf replaces the best one only if its bitmap is
+strictly smaller.
 
-``src/etskit/_ckernel.pyx`` is a typed transliteration of this module and
-must stay behaviorally identical; ``tests/test_kernel_parity.py`` holds the
-two to byte equality.
+These rules fix ``perm`` as well as ``form``, and ``structgen`` reads
+``perm`` to pick the deletion edge of orderly generation, so they are
+the contract of both kernels.  ``src/etskit/_ckernel.pyx`` is a typed
+transliteration of the earlier form of this algorithm, which rebuilt
+every cell mask and every vertex key on each pass; updating masks only
+for split cells, keying only vertices of non-singleton cells and
+stopping at the discrete partition leave the result unchanged.  The two
+kernels must return equal ``(form, perm)`` for every graph:
+``tests/test_kernel_parity.py`` and ``tests/test_canon.py`` compare them
+and pin the pure kernel's output.
 """
 
 from __future__ import annotations
@@ -22,33 +37,36 @@ BACKEND = "pure"
 NODE_CAP = 16
 
 
-def _refine(n, adj, cells):
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        sigs = [tuple((adj[v] & m).bit_count() for m in masks) for v in range(n)]
+def _refine(n, adj, cells, masks):
+    while len(cells) < n:
         out = []
-        changed = False
-        for cell in cells:
+        out_masks = []
+        for cell, cmask in zip(cells, masks):
             if len(cell) == 1:
                 out.append(cell)
+                out_masks.append(cmask)
                 continue
             buckets = {}
             for v in cell:
-                buckets.setdefault(sigs[v], []).append(v)
+                a = adj[v]
+                key = tuple([(a & m).bit_count() for m in masks])
+                buckets.setdefault(key, []).append(v)
             if len(buckets) == 1:
                 out.append(cell)
-            else:
-                changed = True
-                for key in sorted(buckets):
-                    out.append(buckets[key])
+                out_masks.append(cmask)
+                continue
+            for key in sorted(buckets):
+                bucket = buckets[key]
+                bmask = 0
+                for v in bucket:
+                    bmask |= 1 << v
+                out.append(bucket)
+                out_masks.append(bmask)
+        if len(out) == len(cells):
+            break
         cells = out
-        if not changed:
-            return cells
+        masks = out_masks
+    return cells, masks
 
 
 def _bitmap(n, adj, order):
@@ -76,25 +94,21 @@ def canonical_bits(n, adj):
     best = None
     best_perm = None
 
-    def rec(cells):
+    def rec(cells, masks):
         nonlocal best, best_perm
-        cells = _refine(n, adj, cells)
-        target = -1
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = i
-                break
-        if target < 0:
+        cells, masks = _refine(n, adj, cells, masks)
+        if len(cells) == n:
             order = [cell[0] for cell in cells]
             bm = _bitmap(n, adj, order)
             if best is None or bm < best:
                 best = bm
                 best_perm = tuple(order)
             return
+        target = 0
+        while len(cells[target]) == 1:
+            target += 1
         cell = cells[target]
-        cmask = 0
-        for v in cell:
-            cmask |= 1 << v
+        cmask = masks[target]
         branch = cell
         outside = {adj[v] & ~cmask for v in cell}
         if len(outside) == 1:
@@ -108,8 +122,12 @@ def canonical_bits(n, adj):
             ):
                 branch = cell[:1]
         for v in branch:
+            bit = 1 << v
             rest = [u for u in cell if u != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1:])
+            rec(
+                cells[:target] + [[v], rest] + cells[target + 1:],
+                masks[:target] + [bit, cmask & ~bit] + masks[target + 1:],
+            )
 
-    rec([list(range(n))])
+    rec([list(range(n))], [(1 << n) - 1])
     return bytes([n]) + best, best_perm

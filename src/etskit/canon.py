@@ -1,9 +1,8 @@
-"""Canonical labeling and isomorphism testing for normal graphs.
+"""Canonical labeling of normal graphs.
 
 ``canonical_form`` is the workhorse used for isomorphism rejection during
-structure generation; ``are_isomorphic_oracle`` is a deliberately
-independent brute-force check (permutation search with degree-sequence
-pruning) kept around so the canonical form can be audited against it.
+structure generation: two normal graphs are isomorphic iff their forms
+are equal.
 """
 
 from __future__ import annotations
@@ -63,40 +62,3 @@ def canonical_masks(n: int, adj_masks) -> tuple[bytes, tuple[int, ...]]:
 def canonical_form(n: NormalGraph) -> CanonicalForm:
     form, _ = canonical_masks(n.n, n.adj_masks)
     return CanonicalForm(form)
-
-
-def are_isomorphic_oracle(n1: NormalGraph, n2: NormalGraph) -> bool:
-    """Exhaustive permutation search, independent of ``canonical_form``."""
-    if n1.n != n2.n or n1.m != n2.m:
-        return False
-    if sorted(n1.degrees) != sorted(n2.degrees):
-        return False
-    n = n1.n
-    a1 = n1.adj_masks
-    a2 = n2.adj_masks
-    deg1 = n1.degrees
-    deg2 = n2.degrees
-    mapping = [-1] * n  # n1 vertex -> n2 vertex
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or deg1[v] != deg2[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (a1[v] >> u & 1) != (a2[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)

@@ -242,6 +242,44 @@ def pool_ets_up_to(graph: TannerGraph, k: int):
     return found
 
 
+def are_isomorphic_oracle(n1: NormalGraph, n2: NormalGraph) -> bool:
+    """Exhaustive permutation search with degree-sequence pruning: the
+    oracle for ``canon.canonical_form``, independent of it."""
+    if n1.n != n2.n or n1.m != n2.m:
+        return False
+    if sorted(n1.degrees) != sorted(n2.degrees):
+        return False
+    n = n1.n
+    a1 = n1.adj_masks
+    a2 = n2.adj_masks
+    deg1 = n1.degrees
+    deg2 = n2.degrees
+    mapping = [-1] * n  # n1 vertex -> n2 vertex
+    used = [False] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or deg1[v] != deg2[w]:
+                continue
+            ok = True
+            for u in range(v):
+                if (a1[v] >> u & 1) != (a2[w] >> mapping[u] & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if extend(v + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return extend(0)
+
+
 def _bucket_key(g: NormalGraph) -> tuple:
     """Sorted per-node (degree, sorted neighbour degrees, triangles at the
     node): an isomorphism invariant that needs no canonical form."""
@@ -260,8 +298,6 @@ def labeled_structure_buckets(a: int, m: int, max_deg: int,
     graphs with ``a`` nodes and ``m`` edges, bucketed by ``_bucket_key`` and
     told apart inside a bucket by the permutation oracle (independent of
     canonical forms)."""
-    from etskit.canon import are_isomorphic_oracle
-
     pairs = list(itertools.combinations(range(a), 2))
     deg = [0] * a
     adj = [0] * a

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from etskit.canon import are_isomorphic_oracle, canonical_form
+from etskit.canon import canonical_form
 from etskit.cli import main as cli_main
 from etskit.lss import expand_to_k
 from etskit.normal import NormalGraph, from_normal, normal_b, to_normal
@@ -20,6 +20,7 @@ from etskit.structgen import NA, ClassSpec, class_feasible, generate_forms, gene
 from etskit.tables import TABLES, get_table
 from etskit.tanner import classify, gamma_split
 from helpers import (
+    are_isomorphic_oracle,
     assert_nested,
     brute_one_expansion,
     cycle_seeds,

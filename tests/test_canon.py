@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from etskit.canon import CanonicalForm, are_isomorphic_oracle, canonical_form
+from etskit.canon import CanonicalForm, canonical_form
 from etskit.errors import NodeCapError
 from etskit.normal import NormalGraph
+from helpers import are_isomorphic_oracle
 
 
 def permuted(g: NormalGraph, perm) -> NormalGraph:
@@ -81,7 +82,7 @@ def test_oracle_agrees_with_forms_on_catalog(catalogs):
         assert are_isomorphic_oracle(g, permuted(g, perm))
 
 
-def test_determinism_across_backends():
+def test_determinism_across_backends(catalogs):
     from etskit import _kernel
 
     try:
@@ -98,3 +99,18 @@ def test_determinism_across_backends():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         assert _kernel.canonical_bits(n, adj) == _ckernel.canonical_bits(n, adj)
+    # relabelled catalog structures on 6 to 10 nodes
+    cells = ((4, 6, 6, 6), (3, 6, 8, 2), (6, 6, 8, 8), (3, 6, 9, 7),
+             (3, 8, 9, 5), (4, 8, 9, 8), (3, 6, 10, 8), (3, 8, 10, 6),
+             (3, 6, 10, 10))
+    structures = 0
+    for cell in cells:
+        for entry in catalogs(*cell).entries:
+            g = entry.normal_graph()
+            for _ in range(5):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                adj = permuted(g, perm).adj_masks
+                assert _kernel.canonical_bits(g.n, adj) == _ckernel.canonical_bits(g.n, adj)
+            structures += 1
+    assert structures > 300

@@ -1,5 +1,6 @@
 """The compiled kernel and the pure kernel must be interchangeable."""
 
+import hashlib
 import itertools
 import random
 
@@ -46,6 +47,41 @@ def test_pure_kernel_invariance():
                 if adj[i] >> j & 1:
                     adj2[relabel[i]] |= 1 << relabel[j]
         assert _kernel.canonical_bits(n, adj2)[0] == form
+
+
+def pinned_graphs():
+    """A fixed seeded set: five random graphs for each n = 1..12 and each
+    of four edge densities, then every two-jump circulant C_n(1, j) with
+    n = 5..12 (vertex-transitive, so the search branches)."""
+    rng = random.Random(2718)
+    for n in range(1, 13):
+        for density in (0.15, 0.35, 0.6, 0.85):
+            for _ in range(5):
+                adj = [0] * n
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < density:
+                            adj[i] |= 1 << j
+                            adj[j] |= 1 << i
+                yield n, adj
+    for n in range(5, 13):
+        for jump in range(2, n // 2 + 1):
+            adj = [0] * n
+            for i in range(n):
+                for step in (1, jump):
+                    adj[i] |= 1 << (i + step) % n | 1 << (i - step) % n
+            yield n, adj
+
+
+# sha256 of the pure kernel's (form, perm) list over pinned_graphs(),
+# recorded from the kernel that rebuilt every cell mask on each pass
+PINNED_SHA256 = "1de379a61b7ca9c6a0b1074c3df55793ecc857818db53398210dd4a20f3b78cc"
+
+
+def test_pure_kernel_pinned_form_and_perm():
+    results = [_kernel.canonical_bits(n, adj) for n, adj in pinned_graphs()]
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == PINNED_SHA256
 
 
 def test_compiled_kernel_matches_pure_exhaustively():
