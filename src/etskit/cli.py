@@ -115,12 +115,13 @@ def cmd_search(args) -> int:
         max_len=args.max_cycle_len,
         code_id=args.code_id or Path(args.alist).stem,
     )
-    write_text_atomic(args.out, report.to_json(args.sets))
+    text = report.to_json(args.sets)
+    write_text_atomic(args.out, text)
     if args.sets_out:
         lines = report.export_lines()
         write_text_atomic(args.sets_out, "\n".join(lines) + ("\n" if lines else ""))
     if args.json:
-        sys.stdout.write(report.to_json(args.sets))
+        sys.stdout.write(text)
     else:
         sys.stdout.write(format_report_table(report))
     return EXIT_OK

@@ -12,13 +12,17 @@ variable v and ``cv[c]`` the variables of check c, ``tanner.check_masks``
 gives each set S its ``odd`` checks, here S's unsatisfied ones (degree 1,
 since S is elementary), and its ``reached`` checks, all of them.  Folding
 the odd checks as ``twice |= once & cv[c]``, then ``once |= cv[c]``, leaves
-in ``twice`` exactly the variables on two or more of them.  The variables
-of S and of its satisfied checks, ``reached & ~odd``, form ``bad``.  So the
-admissible variables are exactly ``twice & ~bad``: two edges into the
-unsatisfied checks and none into the satisfied ones.  The grown set's
-unsatisfied checks are ``odd ^ vc[v]``: the hits become satisfied and v's
-other checks are new degree-1 checks.  So each grown set comes with its
-class, b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.
+in ``twice`` exactly the variables on two or more of them.  A candidate v
+is one of those outside S, ``twice & ~smask``, and it is admitted when
+``vc[v] & even`` is empty, with ``even = reached & ~odd`` S's satisfied
+checks.  That is exactly "no edge into the satisfied checks": v is outside
+S, so v is one of the variables of S's satisfied checks exactly when one of
+its own checks is among them.  The grown set's unsatisfied checks are
+``odd ^ vc[v]``: the hits become satisfied and v's other checks are new
+degree-1 checks.  So each grown set comes with its class,
+b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.  Its key
+is the parent's sorted member tuple with v inserted, and the class is
+counted only for a key the layer does not hold yet.
 
 Cycles up to length L are enumerated by a DFS from each variable ``start``
 over the nodes above it, pruned by BFS distances: a path of p nodes is
@@ -53,7 +57,7 @@ from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
 from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import CatalogEntry, Catalog
 from etskit.tables import NA, Label
-from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks, mask_bits
+from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks
 from etskit.tanner import node_adjacency
 from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
@@ -91,14 +95,23 @@ def expand_to_k(
         for members in frontier.by_size.get(size, ()):
             smask, odd, reached = check_masks(graph, members)
             once = twice = 0
-            for c in mask_bits(odd):
+            rest = odd
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
                 twice |= once & cv[c]
                 once |= cv[c]
-            bad = smask
-            for c in mask_bits(reached & ~odd):
-                bad |= cv[c]
-            for v in mask_bits(twice & ~bad):
-                grown.setdefault(mask_bits(smask | 1 << v), (odd ^ vc[v]).bit_count())
+            even = reached & ~odd
+            rest = twice & ~smask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if not vc[v] & even:
+                    child = tuple(sorted((*members, v)))
+                    if child not in grown:
+                        grown[child] = (odd ^ vc[v]).bit_count()
         if grown:
             frontier.by_size[size + 1] = grown
     return frontier

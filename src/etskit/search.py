@@ -88,12 +88,11 @@ class SearchReport:
 
     def export_lines(self) -> list[str]:
         """One line per set, by size then members: ``a<TAB>b<TAB>members``."""
-        by_size = self.frontier.by_size
-        return [
-            f"{a}\t{by_size[a][m]}\t{','.join(map(str, m))}"
-            for a in sorted(by_size)
-            for m in sorted(by_size[a])
-        ]
+        lines = []
+        for a, layer in sorted(self.frontier.by_size.items()):
+            row = f"{a}\t%d\t" + ",".join(["%d"] * a)
+            lines.extend([row % (layer[m], *m) for m in sorted(layer)])
+        return lines
 
 
 def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:

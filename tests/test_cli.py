@@ -241,6 +241,26 @@ def test_search_deterministic_across_runs_and_threads(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_search_json_prints_the_report_it_writes(tmp_path, capsys, monkeypatch):
+    from etskit.search import SearchReport
+
+    calls = []
+    to_json = SearchReport.to_json
+    monkeypatch.setattr(SearchReport, "to_json",
+                        lambda self, sets=False: calls.append(sets) or to_json(self, sets))
+    g = random_tanner(20, 3, 30, seed=11, girth_exactly=6)
+    alist = tmp_path / "code.alist"
+    alist.write_text(to_alist(g))
+    out = tmp_path / "report.json"
+    code, stdout, _ = run(capsys, "search", "--alist", str(alist),
+                          "--k", "6", "--max-cycle-len", "8",
+                          "--out", str(out), "--json", "--sets")
+    assert code == 0
+    assert json.loads(stdout)["sets"]
+    assert stdout.encode() == out.read_bytes()
+    assert calls == [True]  # one report text for the file and for stdout
+
+
 def test_search_sets_out(tmp_path, capsys, ets54):
     alist = tmp_path / "code.alist"
     alist.write_text(to_alist(ets54))

@@ -94,6 +94,8 @@ def test_expansion_records_each_sets_b():
         assert frontier.by_size.get(7), dl
         for layer in frontier.by_size.values():
             for members, b in layer.items():
+                # keys are built by inserting v into the parent's tuple
+                assert all(x < y for x, y in zip(members, members[1:])), members
                 rec = brute_classify(g, members)
                 assert (rec.b, rec.elementary, rec.in_t) == (b, True, True), (dl, members)
                 checked += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -173,6 +174,26 @@ def test_report_set_orders(ets62_normal):
     assert lines == [f"4\t6\t{','.join(map(str, m))}" for _, _, m in size4] + [
         "4\t4\t2,3,4,5"
     ]
+
+
+# sha256 of each search's ``--sets-out`` lines followed by its
+# ``--json --sets`` report, taken from an expansion that listed every mask
+# through ``tanner.mask_bits`` and an export that joined ``str`` members;
+# a rewrite of either must keep these bytes
+PINNED_SEARCHES = {
+    # sets up to size 11, so two-digit sizes and k near MAX_K
+    ((30, 4, 40, 3), 11, 8): "e0ea735402a503197271c3a85c64f5634585f2e31acab55757c2dfead7af00de",
+    # variable ids up to 139, so members of one, two and three digits
+    ((140, 3, 100, 5), 8, 8): "ab6e02d9722ab9e3d828121eebe168e4533a9702987eef036f0fd0c44040f064",
+}
+
+
+@pytest.mark.parametrize("code,k,max_len", list(PINNED_SEARCHES))
+def test_search_outputs_pinned(code, k, max_len):
+    report = find_etss(random_tanner(*code), k=k, max_len=max_len)
+    text = "".join(line + "\n" for line in report.export_lines())
+    text += report.to_json(sets=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SEARCHES[code, k, max_len]
 
 
 def test_girth_above_tables_is_uncharacterized():
