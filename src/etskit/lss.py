@@ -24,11 +24,16 @@ b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.  Its key
 is the parent's sorted member tuple with v inserted, and the class is
 counted only for a key the layer does not hold yet.
 
-Cycles up to length L are enumerated by a DFS from each variable ``start``
-over the nodes above it, pruned by BFS distances: a path of p nodes is
-extended to w only if p + dist(start, w) <= L.  The arc that would close
-the cycle from w is at least dist(start, w) long, so a pruned path can
-close no cycle of length <= L and no cycle is lost.
+Cycles up to length L are enumerated by pairing half-paths at their
+antipode.  A cycle of length 2h has one smallest node s, and the node h
+steps from s either way round is its antipode x; the cycle is the union of
+two simple s-x paths of h edges over nodes above s that share only s and x.
+Conversely, any two such paths form a cycle of length 2h with smallest node
+s and antipode x.  So growing the simple paths from each s over the nodes
+above it, one edge at a time up to L // 2 edges, and pairing the paths that
+end at the same node with no other node in common finds every cycle of
+length <= L, and each exactly once: the cycle fixes s, h, x and the
+unordered pair of its two arcs.
 
 A structure is labeled with the smallest Tanner cycle length x such that
 layered one-node expansion grows one of its length-x cycle node sets into
@@ -124,16 +129,19 @@ def enumerate_tanner_cycles(
 
     A length-2m cycle yields its m-element variable set; per length, node
     sets are deduplicated (two cycles on the same variables count once).
+    Two such cycles have the same smallest node, so the sets are
+    deduplicated per start node.
 
-    Each cycle is found once from its smallest node ``start`` (always a
-    variable, since check ids are ``c + num_var``), by a DFS over nodes
-    ``> start``.  A BFS first gives ``dist[w]``, the distance from ``start``
-    to ``w`` within ``{start} ∪ {nodes > start}``, up to ``max_len // 2``
-    levels.  A path of ``p`` nodes is extended to ``w`` only if
-    ``p + dist[w] <= max_len``.  No cycle is lost: the arc from ``w`` back
-    to ``start`` also runs through nodes ``> start``, so it is at least
-    ``dist[w]`` long, and a cycle closed from the extended path has at
-    least ``p + dist[w]`` edges.
+    Each cycle is found once from its smallest node ``s`` (always a
+    variable, since check ids are ``c + num_var``) and its antipode ``x``,
+    the node half-way round.  Level ``h`` holds every simple path of ``h``
+    edges from ``s`` over nodes ``> s``, as its end node and the bitmask of
+    its other nodes.  Two paths of level ``h`` that end at the same ``x``,
+    with masks that share only ``s``, are the two arcs of a cycle of length
+    ``2h``.  Every cycle of length ``2h`` splits at ``s`` and ``x`` into
+    two such arcs, so none is missed, and that unordered pair of arcs is the
+    only one that gives it, so none is found twice.  The levels stop at
+    ``max_len // 2`` or at the first empty one.
     """
     girth = graph.girth
     if girth != float("inf"):
@@ -141,34 +149,53 @@ def enumerate_tanner_cycles(
             raise ValueError(f"max_len {max_len} below girth {girth}")
         if max_len > girth + 12:
             raise ValueError(f"max_len {max_len} above girth+12 cap")
+    nv = graph.num_var
     adj = node_adjacency(graph.var_adj, graph.chk_adj)
-    found: dict[int, set[tuple[int, ...]]] = {}
-    far = max_len + 1  # the distance of every node the BFS does not reach
-    for start in range(graph.num_var):
-        dist = [far] * len(adj)
-        dist[start] = 0
-        layer = [start]
-        for depth in range(1, max_len // 2 + 1):
-            nxt = []
-            for u in layer:
-                for w in adj[u]:
-                    if w > start and dist[w] == far:
-                        dist[w] = depth
-                        nxt.append(w)
-            layer = nxt
-            if not layer:  # an acyclic graph may have a window far beyond its depth
-                break
-        stack = [(start, (start,))]
-        while stack:
-            v, path = stack.pop()
-            p = len(path)
-            for w in adj[v]:
-                if w == start:
-                    if p >= 4 and path[1] < path[-1]:
-                        found.setdefault(p, set()).add(tuple(sorted(path[::2])))
-                elif p + dist[w] <= max_len and w not in path:
-                    stack.append((w, path + (w,)))
-    return {length: sorted(found[length]) for length in sorted(found)}
+    var_bits = (1 << nv) - 1
+    # the member tuples outlive the call as search seeds: share one int per
+    # id, since Python makes a new int object for each id above 256
+    ids = list(range(nv))
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for s in range(nv):
+        sbit = 1 << s
+        cycles: dict[int, set[int]] = {}  # length -> variable bitmasks
+        level = {w: [sbit] for w in adj[s] if w > s}  # end node -> path masks
+        length = 2
+        while level and length + 2 <= max_len:
+            length += 2
+            grown: dict[int, list[int]] = {}
+            for x, masks in level.items():
+                xbit = 1 << x
+                for w in adj[x]:
+                    if w > s:
+                        wbit = 1 << w
+                        ends = None
+                        for m in masks:
+                            if not m & wbit:
+                                if ends is None:
+                                    ends = grown.setdefault(w, [])
+                                ends.append(m | xbit)
+            level = grown
+            for x, masks in level.items():
+                if len(masks) > 1:
+                    xbit = 1 << x
+                    for i, m in enumerate(masks):
+                        for m2 in masks[i + 1:]:
+                            if m & m2 == sbit:
+                                cycle = (m | m2 | xbit) & var_bits
+                                cycles.setdefault(length, set()).add(cycle)
+        for length, masks in cycles.items():
+            rows = found.setdefault(length, [])
+            for rest in masks:
+                row = []
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row.append(ids[low.bit_length() - 1])
+                rows.append(tuple(row))
+    for rows in found.values():
+        rows.sort()
+    return {length: found[length] for length in sorted(found)}
 
 
 def classify_lss(entry: CatalogEntry) -> Label:

@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
-from etskit.lss import enumerate_tanner_cycles, expand_to_k
+from etskit.lss import expand_to_k
 from etskit.normal import CycleCensus, NormalGraph, from_normal
 from etskit.structgen import NA, CatalogEntry, _is_absorbing
 from etskit.tanner import TannerGraph, TrappingSetRecord, classify
@@ -87,8 +87,10 @@ def tutte_coxeter() -> TannerGraph:
 def unpruned_tanner_cycles(
     graph: TannerGraph, max_len: int
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Variable-node sets of all cycles of length girth..max_len, by a DFS
-    with no distance pruning: the oracle for ``lss.enumerate_tanner_cycles``.
+    """Variable-node sets of all cycles of length girth..max_len, by a plain
+    DFS that walks each cycle node by node from its smallest node: the
+    oracle for ``lss.enumerate_tanner_cycles`` and the cycles of
+    ``cycle_seeds``.
 
     A length-2m cycle yields its m-element variable set; per length, node
     sets are deduplicated (two cycles on the same variables count once).
@@ -190,8 +192,9 @@ def brute_classify(graph: TannerGraph, members) -> TrappingSetRecord:
 
 def cycle_seeds(graph: TannerGraph, max_len: int) -> list:
     """``classify`` records of the elementary in-pool cycle sets of
-    ``graph`` up to ``max_len``: the seeds of a search."""
-    cycles = enumerate_tanner_cycles(graph, max_len)
+    ``graph`` up to ``max_len``: the seeds of a search, with the cycles
+    taken from the oracle rather than from the library enumerator."""
+    cycles = unpruned_tanner_cycles(graph, max_len)
     records = [classify(graph, s) for sets in cycles.values() for s in sets]
     return [r for r in records if r.elementary and r.in_t]
 

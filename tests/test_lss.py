@@ -164,6 +164,8 @@ def test_enumerate_cycles_examples(ets54, ets54_normal, k33):
 
     tree = TannerGraph.from_var_adj([(0, 1, 2), (0, 3, 4), (1, 5, 6)], 7)
     assert enumerate_tanner_cycles(tree, 10) == {}
+    # an acyclic code has no window cap: the levels stop at the first empty one
+    assert enumerate_tanner_cycles(tree, 10**9) == {}
 
     g = from_normal(k33, 3)
     assert enumerate_tanner_cycles(g, 8 + 12).get(6) is None
@@ -193,18 +195,22 @@ def test_enumerate_cycles_matches_unpruned_oracle():
     codes = [random_tanner(30, 3, 30, seed=s, girth_exactly=6) for s in (1, 2, 3)]
     codes.append(random_tanner(24, 4, 36, seed=1, girth_exactly=6))
     codes += [random_tanner(30, 3, 60, seed=s, girth_exactly=8) for s in (1, 2, 3)]
-    codes.append(tutte_coxeter())
+    tutte = tutte_coxeter()
+    codes.append(tutte)
     assert {g.girth for g in codes} == {6, 8}
     for g in codes:
         girth = int(g.girth)
-        for max_len in range(girth, girth + 7, 2):
+        windows = [girth, girth + 1, girth + 2, girth + 3, girth + 4, girth + 6]
+        if g is tutte:
+            windows.append(girth + 12)  # the cap window
+        for max_len in windows:
             assert enumerate_tanner_cycles(g, max_len) == unpruned_tanner_cycles(
                 g, max_len
             ), (g.key, max_len)
 
 
 def test_enumerate_cycles_window_invariance():
-    # the pruning depends on max_len; the cycles of each length must not
+    # the cycles of each length do not depend on the window they are listed in
     for g in (
         random_tanner(30, 3, 30, seed=1, girth_exactly=6),
         random_tanner(30, 3, 60, seed=3, girth_exactly=8),
