@@ -10,12 +10,7 @@ from etskit.lss import (
     expand_to_k,
     label_catalog,
 )
-from etskit.normal import (
-    NormalGraph,
-    from_normal,
-    normal_b,
-    to_normal,
-)
+from etskit.normal import NormalGraph
 from etskit.search import SearchReport, coverage_query, find_etss
 from etskit.structgen import (
     Catalog,
@@ -26,14 +21,7 @@ from etskit.structgen import (
     read_catalog,
     write_catalog,
 )
-from etskit.tanner import (
-    GammaSplit,
-    TannerGraph,
-    TrappingSetRecord,
-    classify,
-    gamma_split,
-    parse_alist,
-)
+from etskit.tanner import TannerGraph, TrappingSetRecord, classify, parse_alist
 
 __version__ = "0.1.0"
 
@@ -43,7 +31,6 @@ __all__ = [
     "CatalogEntry",
     "ClassSpec",
     "ExpansionFrontier",
-    "GammaSplit",
     "NormalGraph",
     "SearchReport",
     "TannerGraph",
@@ -56,14 +43,10 @@ __all__ = [
     "enumerate_tanner_cycles",
     "expand_to_k",
     "find_etss",
-    "from_normal",
-    "gamma_split",
     "generate_structures",
     "kernel_backend",
     "label_catalog",
-    "normal_b",
     "parse_alist",
     "read_catalog",
-    "to_normal",
     "write_catalog",
 ]

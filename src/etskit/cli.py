@@ -58,8 +58,8 @@ def _thread_count(text: str) -> int:
 def _threads_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=_thread_count, default=1, metavar="N",
-        help="at most N worker processes, N in 1..CPU count; only structure "
-        "generation (gen, verify) forks, classify and search run in one process",
+        help="N in 1..CPU count; accepted for compatibility, every command "
+        "runs in one process",
     )
 
 
@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-    catalog = generate_structures(spec, threads=args.threads)
+    catalog = generate_structures(spec)
     if not args.no_lss:
         catalog = label_catalog(catalog)
     write_catalog(catalog, args.out)
@@ -153,10 +153,7 @@ def cmd_verify(args) -> int:
             want_ts = dict(row["ts"]) if row else {}
             want_as = dict(row["as"]) if row else {}
             catalog = label_catalog(
-                generate_structures(
-                    ClassSpec(d_l=args.dl, g=args.girth, a=a, b=b),
-                    threads=args.threads,
-                )
+                generate_structures(ClassSpec(d_l=args.dl, g=args.girth, a=a, b=b))
             )
             got_ts = catalog.label_histogram()
             got_as = catalog.label_histogram(absorbing_only=True)

@@ -40,10 +40,8 @@ same way, and results are complemented back before canonical encoding.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import secrets
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -271,12 +269,11 @@ def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
     stack = [(list(adj), k, form)]
     while stack:
         cur, depth, cur_form = stack.pop()
+        degs = [m.bit_count() for m in cur]
         if depth == task.m:
-            cdegs = [m.bit_count() for m in cur]
-            if all(d >= task.min_deg_final for d in cdegs):
+            if min(degs) >= task.min_deg_final:
                 finals.append((cur, cur_form))
             continue
-        degs = [m.bit_count() for m in cur]
         stack.extend(
             (child, depth + 1, child_form)
             for child, child_form in _children(task, cur, degs, depth, cur_form)
@@ -284,28 +281,11 @@ def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
     return finals
 
 
-def fork_pool_map(fn, items, threads: int) -> list:
-    """``list(map(fn, items))`` on ``threads`` worker processes, forked
-    where the platform allows it, in input order."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform dependent
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-        return list(pool.map(fn, items))
-
-
-def _subtree_worker(args):
-    task, adj, k, form = args
-    return _run_subtree(task, adj, k, form)
-
-
 def generate_forms(
     a: int,
     m: int,
     max_deg: int,
     min_normal_girth: int = 3,
-    threads: int = 1,
 ) -> list[CanonicalForm]:
     """All connected graphs on ``a`` nodes, ``m`` edges, degrees in
     [2, max_deg], normal girth at least ``min_normal_girth``; one canonical
@@ -330,25 +310,7 @@ def generate_forms(
 
     root_adj = [0] * a
     root_form, _ = canonical_masks(a, root_adj)
-    # with workers, grow the tree breadth-first until it has enough
-    # subtrees to share out; every subtree is then completed depth-first
-    frontier = [(task, root_adj, 0, root_form)]
-    depth = 0
-    while threads > 1 and 0 < len(frontier) < 8 * threads and depth < task.m:
-        nxt = []
-        for _, adj, _, form in frontier:
-            degs = [x.bit_count() for x in adj]
-            nxt.extend(
-                (task, child, depth + 1, cform)
-                for child, cform in _children(task, adj, degs, depth, form)
-            )
-        frontier = nxt
-        depth += 1
-    if threads > 1 and len(frontier) > 1:
-        parts = fork_pool_map(_subtree_worker, frontier, threads)
-    else:
-        parts = map(_subtree_worker, frontier)
-    raw = [final for part in parts for final in part]
+    raw = _run_subtree(task, root_adj, 0, root_form)
 
     forms = []
     full = (1 << a) - 1
@@ -365,15 +327,13 @@ def generate_forms(
     return [CanonicalForm(f) for f in forms]
 
 
-def generate_structures(spec: ClassSpec, threads: int = 1) -> Catalog:
+def generate_structures(spec: ClassSpec) -> Catalog:
     """Catalog of all non-isomorphic structures of the class, unlabeled."""
     reason = class_feasible(spec)
     if reason is not None:
         return Catalog(spec=spec, entries=[], reason=reason)
     min_girth = 3 if spec.g == 6 else 4
-    forms = generate_forms(
-        spec.a, spec.num_edges, spec.d_l, min_girth, threads=threads
-    )
+    forms = generate_forms(spec.a, spec.num_edges, spec.d_l, min_girth)
     entries = [
         CatalogEntry(
             form=form,

@@ -7,6 +7,7 @@ cells (on the pure kernel) carry the ``extended`` marker and run with
 
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -308,7 +309,7 @@ def test_c4_structural_invariants(catalogs):
 
 def test_c5_determinism(tmp_path, capsys):
     blobs = []
-    for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+    for name, threads in (("r1", "1"), ("r2", "1"), ("r3", str(os.cpu_count()))):
         out = tmp_path / f"gen-{name}.cat"
         assert cli_main([
             "gen", "--dl", "3", "--girth", "6", "--a", "8", "--b", "2",
@@ -321,7 +322,7 @@ def test_c5_determinism(tmp_path, capsys):
     alist = tmp_path / "code.alist"
     alist.write_text(to_alist(g))
     reports = []
-    for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+    for name, threads in (("r1", "1"), ("r2", "1"), ("r3", str(os.cpu_count()))):
         out = tmp_path / f"search-{name}.json"
         assert cli_main([
             "search", "--alist", str(alist), "--k", "6",

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,7 +179,7 @@ def test_usage_error_exit_code(capsys):
     ["verify", "--dl", "3", "--girth", "8"],
 ])
 def test_threads_bounded_by_cpu_count(command, capsys):
-    # parsing only: no command runs, so no worker process starts
+    # parsing only: no command runs
     cap = os.cpu_count()
     parser = cli.build_parser()
     assert parser.parse_args(command + ["--threads", str(cap)]).threads == cap
@@ -186,6 +188,22 @@ def test_threads_bounded_by_cpu_count(command, capsys):
             parser.parse_args(command + ["--threads", bad])
         assert err.value.code == 2
         assert f"1..{cap}" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    # every command runs in one process, so the CLI has no reason to load
+    # the multiprocessing machinery; a fresh interpreter shows what it pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, etskit.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_d3_g8(capsys):
@@ -215,7 +233,7 @@ def test_verify_extended_skip(capsys):
 
 def test_gen_deterministic_across_runs_and_threads(tmp_path, capsys):
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for name, threads in (("a", "1"), ("b", "1"), ("c", str(os.cpu_count()))):
         out = tmp_path / f"{name}.cat"
         code, _, _ = run(capsys, "gen", "--dl", "4", "--girth", "6",
                          "--a", "7", "--b", "4", "--out", str(out),
@@ -230,7 +248,7 @@ def test_search_deterministic_across_runs_and_threads(tmp_path, capsys):
     alist = tmp_path / "code.alist"
     alist.write_text(to_alist(g))
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for name, threads in (("a", "1"), ("b", "1"), ("c", str(os.cpu_count()))):
         out = tmp_path / f"{name}.json"
         code, _, _ = run(capsys, "search", "--alist", str(alist),
                          "--k", "6", "--max-cycle-len", "10",
