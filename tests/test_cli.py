@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -204,6 +205,27 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_threads_help_says_one_process():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["classify", "gen", "search", "verify"]
+    for name, command in sub.choices.items():
+        (threads,) = [a for a in command._actions if "--threads" in a.option_strings]
+        assert "one process" in threads.help, name
+
+
+def test_package_exports_resolve():
+    import etskit
+
+    for name in etskit.__all__:
+        assert getattr(etskit, name) is not None, name
+    # Tanner/normal conversion helpers live in their modules only
+    for name in ("from_normal", "normal_b", "to_normal", "gamma_split",
+                 "GammaSplit"):
+        assert name not in etskit.__all__
 
 
 def test_verify_d3_g8(capsys):

@@ -202,6 +202,24 @@ def test_dense_and_sparse_paths_agree():
     assert [e.form.data for e in dense.entries] == direct
 
 
+def test_generate_structures_is_repeatable():
+    # catalog files list entries in generation order, so two runs of one
+    # class must yield the same forms in the same order
+    spec = ClassSpec(4, 6, 7, 4)
+    first = generate_structures(spec)
+    again = generate_structures(spec)
+    assert len(first) > 0
+    assert [e.form for e in first.entries] == [e.form for e in again.entries]
+
+
+def test_generation_takes_no_threads_argument():
+    # generation runs in one process; a worker count is no longer a parameter
+    with pytest.raises(TypeError):
+        generate_forms(8, 12, 4, min_normal_girth=4, threads=1)
+    with pytest.raises(TypeError):
+        generate_structures(ClassSpec(4, 6, 7, 4), threads=1)
+
+
 def test_catalog_file_round_trip(catalogs):
     cat = catalogs(4, 6, 6, 6)
     text = format_catalog(cat)
