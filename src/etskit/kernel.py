@@ -12,17 +12,16 @@ from __future__ import annotations
 import os
 
 if os.environ.get("ETSKIT_PURE"):
-    from etskit import _kernel as _impl
+    from etskit._kernel import BACKEND, NODE_CAP, canonical_bits
 else:
     try:
-        from etskit import _ckernel as _impl  # type: ignore[attr-defined]
+        # a compiled module that lacks these names (the stub of a zipped egg
+        # install) raises ImportError here too, and the pure kernel runs
+        from etskit._ckernel import BACKEND, NODE_CAP, canonical_bits  # type: ignore
     except ImportError:
-        from etskit import _kernel as _impl
-
-canonical_bits = _impl.canonical_bits
-NODE_CAP = _impl.NODE_CAP
+        from etskit._kernel import BACKEND, NODE_CAP, canonical_bits
 
 
 def backend() -> str:
     """Name of the active kernel: ``"c"`` or ``"pure"``."""
-    return _impl.BACKEND
+    return BACKEND

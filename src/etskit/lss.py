@@ -24,33 +24,33 @@ b(S ∪ {v}) = |odd ^ vc[v]|, and needs no check count of its own.  Its key
 is the parent's sorted member tuple with v inserted, and the class is
 counted only for a key the layer does not hold yet.
 
-Cycles up to length L are enumerated by pairing half-paths at their
-antipode.  A cycle of length 2h has one smallest node s, and the node h
-steps from s either way round is its antipode x; the cycle is the union of
-two simple s-x paths of h edges over nodes above s that share only s and x.
-Conversely, any two such paths form a cycle of length 2h with smallest node
-s and antipode x.  So growing the simple paths from each s over the nodes
-above it, one edge at a time up to L // 2 edges, and pairing the paths that
-end at the same node with no other node in common finds every cycle of
-length <= L, and each exactly once: the cycle fixes s, h, x and the
-unordered pair of its two arcs.
+Cycles up to length L come from ``tanner.cycle_levels``, which pairs
+half-paths at their antipode, one start node at a time.
 
 A structure is labeled with the smallest Tanner cycle length x such that
 layered one-node expansion grows one of its length-x cycle node sets into
 the full structure; NA when no cycle length works (such structures are
 invisible to cycle-seeded search by construction).
 
-The label is computed on the normal graph, with no Tanner round trip.  In
-the structure's own Tanner graph a node v outside a subset S has one
-degree-2 check per neighbour and degree-1 checks otherwise.  The odd checks
-of S that touch v are exactly v's edges into S, and no check of v can be a
-satisfied check of S, since both nodes of a satisfied check lie in S.  So
-the one-step expansion admits v exactly when v has at least two neighbours
-in S.  That rule is monotone: adding nodes to S never disables an admissible
-node.  Any layered chain from a seed therefore stays inside the greedy
-closure of the seed under the rule, and the closure, taken one node at a
-time, is itself a layered chain.  The full structure is reachable from a
-seed exactly when the seed's closure is the full node set.
+The label is computed on the normal graph, with no Tanner round trip.  The
+seeds are the cycles of the structure's Tanner graph.  Its degree-1 checks
+lie on no cycle, so those are the cycles of ``normal.tanner_adjacency``,
+the normal graph with every edge subdivided by its check: a normal cycle of
+k nodes is a Tanner cycle of length 2k, and ``cycle_levels`` yields it at
+that length, which is the label it gives.  In the structure's own Tanner
+graph a node v outside a subset S has one degree-2 check per neighbour and
+degree-1 checks otherwise.  The odd checks of S that touch v are exactly
+v's edges into S, and no check of v can be a satisfied check of S, since
+both nodes of a satisfied check lie in S.  So the one-step expansion admits
+v exactly when v has at least two neighbours in S.  That rule is monotone:
+adding nodes to S never disables an admissible node.  Any layered chain
+from a seed therefore stays inside the greedy closure of the seed under the
+rule, and the closure, taken one node at a time, is itself a layered
+chain.  The full structure is reachable from a seed exactly when the seed's
+closure is the full node set.  ``lss_label_of`` runs one ``cycle_levels``
+pass per start node, all of them one length per round, and stops at the
+first seed whose closure is full, so it enumerates no cycle longer than the
+label.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Sequence
 
-from etskit.normal import CycleCensus, NormalGraph, check_degree_cap
-from etskit.normal import from_normal  # noqa: F401  (patched by perfbench/tracing.py)
+from etskit.normal import NormalGraph, check_degree_cap, tanner_adjacency
+from etskit.normal import CycleCensus, from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import CatalogEntry, Catalog
 from etskit.tables import NA, Label
 from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks
-from etskit.tanner import node_adjacency
+from etskit.tanner import cycle_levels, node_adjacency
 from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
 MAX_K = 12
@@ -130,18 +130,9 @@ def enumerate_tanner_cycles(
     A length-2m cycle yields its m-element variable set; per length, node
     sets are deduplicated (two cycles on the same variables count once).
     Two such cycles have the same smallest node, so the sets are
-    deduplicated per start node.
-
-    Each cycle is found once from its smallest node ``s`` (always a
-    variable, since check ids are ``c + num_var``) and its antipode ``x``,
-    the node half-way round.  Level ``h`` holds every simple path of ``h``
-    edges from ``s`` over nodes ``> s``, as its end node and the bitmask of
-    its other nodes.  Two paths of level ``h`` that end at the same ``x``,
-    with masks that share only ``s``, are the two arcs of a cycle of length
-    ``2h``.  Every cycle of length ``2h`` splits at ``s`` and ``x`` into
-    two such arcs, so none is missed, and that unordered pair of arcs is the
-    only one that gives it, so none is found twice.  The levels stop at
-    ``max_len // 2`` or at the first empty one.
+    deduplicated per start node.  Each cycle is found once, from its
+    smallest node, by ``tanner.cycle_levels``; that node is always a
+    variable, since check ids are ``c + num_var``.
     """
     girth = graph.girth
     if girth != float("inf"):
@@ -157,42 +148,16 @@ def enumerate_tanner_cycles(
     ids = list(range(nv))
     found: dict[int, list[tuple[int, ...]]] = {}
     for s in range(nv):
-        sbit = 1 << s
-        cycles: dict[int, set[int]] = {}  # length -> variable bitmasks
-        level = {w: [sbit] for w in adj[s] if w > s}  # end node -> path masks
-        length = 2
-        while level and length + 2 <= max_len:
-            length += 2
-            grown: dict[int, list[int]] = {}
-            for x, masks in level.items():
-                xbit = 1 << x
-                for w in adj[x]:
-                    if w > s:
-                        wbit = 1 << w
-                        ends = None
-                        for m in masks:
-                            if not m & wbit:
-                                if ends is None:
-                                    ends = grown.setdefault(w, [])
-                                ends.append(m | xbit)
-            level = grown
-            for x, masks in level.items():
-                if len(masks) > 1:
-                    xbit = 1 << x
-                    for i, m in enumerate(masks):
-                        for m2 in masks[i + 1:]:
-                            if m & m2 == sbit:
-                                cycle = (m | m2 | xbit) & var_bits
-                                cycles.setdefault(length, set()).add(cycle)
-        for length, masks in cycles.items():
-            rows = found.setdefault(length, [])
-            for rest in masks:
-                row = []
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    row.append(ids[low.bit_length() - 1])
-                rows.append(tuple(row))
+        for length, masks in cycle_levels(adj, s, max_len, var_bits):
+            if masks:
+                rows = found.setdefault(length, [])
+                for rest in set(masks):
+                    row = []
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        row.append(ids[low.bit_length() - 1])
+                    rows.append(tuple(row))
     for rows in found.values():
         rows.sort()
     return {length: found[length] for length in sorted(found)}
@@ -203,11 +168,8 @@ def classify_lss(entry: CatalogEntry) -> Label:
     return lss_label_of(entry.normal_graph(), entry.spec.d_l)
 
 
-def _closure(adj: Sequence[int], members: tuple[int, ...]) -> int:
-    """Bitmask of ``members`` grown by every node with two neighbours in it."""
-    s = 0
-    for v in members:
-        s |= 1 << v
+def _closure(adj: Sequence[int], s: int) -> int:
+    """Node bitmask ``s`` grown by every node with two neighbours in it."""
     grown = True
     while grown:
         grown = False
@@ -222,11 +184,21 @@ def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
     check_degree_cap(structure, d_l)
     adj = structure.adj_masks
     full = (1 << structure.n) - 1
-    for normal_len in range(3, structure.n + 1):
-        census = CycleCensus(structure, max_normal_len=normal_len)
-        for seed in census.node_sets(2 * normal_len):
-            if _closure(adj, seed) == full:
-                return 2 * normal_len
+    tanner = tanner_adjacency(structure)
+    passes = [
+        cycle_levels(tanner, s, 2 * structure.n, full) for s in range(structure.n)
+    ]
+    while passes:  # one round per length, shortest first
+        alive = []
+        for levels in passes:
+            step = next(levels, None)
+            if step is not None:
+                length, seeds = step
+                for seed in seeds:
+                    if _closure(adj, seed) == full:
+                        return length
+                alive.append(levels)
+        passes = alive
     return NA
 
 

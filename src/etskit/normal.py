@@ -7,7 +7,9 @@ the reduction inverts exactly, so structure enumeration can run over these
 small simple graphs instead of bipartite ones.
 
 Cycle lengths double under the reduction: a length-k simple cycle of the
-normal graph is a length-2k cycle of the Tanner subgraph.
+normal graph is a length-2k cycle of the Tanner subgraph.  So the cycles
+of a structure come from ``tanner.cycle_levels`` run on
+``tanner_adjacency``, already at their Tanner lengths.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from etskit.errors import GraphConstraintError
-from etskit.tanner import TannerGraph, check_masks, classify, mask_bits, members_of
-from etskit.tanner import mask_connected
+from etskit.tanner import TannerGraph, cycle_levels, mask_bits, mask_connected
+from etskit.tanner import node_adjacency
 
 
 @dataclass(frozen=True)
@@ -61,26 +63,6 @@ class NormalGraph:
         return len(self.edges)
 
 
-def to_normal(graph: TannerGraph, s: Iterable[int]) -> NormalGraph:
-    """Reduce the induced subgraph of an elementary in-pool set: each even
-    check has exactly two members, and that pair is one edge."""
-    members = members_of(graph, s)
-    rec = classify(graph, members)
-    if not rec.elementary:
-        raise GraphConstraintError("set is not elementary, normal graph undefined")
-    if not rec.in_t:
-        raise GraphConstraintError(
-            "set is disconnected or has a member with fewer than two satisfied checks"
-        )
-    smask, odd, reached = check_masks(graph, members)
-    index = {v: i for i, v in enumerate(members)}
-    edges = [
-        [index[v] for v in mask_bits(graph.chk_vmask[c] & smask)]
-        for c in mask_bits(reached & ~odd)
-    ]
-    return NormalGraph(len(members), edges)
-
-
 def check_degree_cap(n: NormalGraph, d_l: int) -> None:
     """Reject a structure with a node above left degree ``d_l``."""
     for v, deg in enumerate(n.degrees):
@@ -90,6 +72,15 @@ def check_degree_cap(n: NormalGraph, d_l: int) -> None:
             )
 
 
+def _edge_checks(n: NormalGraph) -> list[list[int]]:
+    """Per node, the ids of its edges: its degree-2 checks in Tanner form."""
+    var_adj = [[] for _ in range(n.n)]
+    for e, (i, j) in enumerate(n.edges):
+        var_adj[i].append(e)
+        var_adj[j].append(e)
+    return var_adj
+
+
 def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     """Expand a normal graph back to its Tanner form for left degree ``d_l``.
 
@@ -97,10 +88,7 @@ def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     order, then the degree-1 checks in node order, so round trips are exact.
     """
     check_degree_cap(n, d_l)
-    var_adj = [[] for _ in range(n.n)]
-    for cid, (i, j) in enumerate(n.edges):
-        var_adj[i].append(cid)
-        var_adj[j].append(cid)
+    var_adj = _edge_checks(n)
     next_chk = n.m
     for v in range(n.n):
         for _ in range(d_l - n.degrees[v]):
@@ -109,38 +97,12 @@ def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     return TannerGraph.from_var_adj(var_adj, next_chk)
 
 
-def normal_b(n: NormalGraph, d_l: int) -> int:
-    """Unsatisfied-check count of the expanded set: sum of (d_l - deg)."""
-    check_degree_cap(n, d_l)
-    return n.n * d_l - 2 * n.m
-
-
-def _cycles_upto(n: int, adj: Sequence[int], max_nodes: int):
-    """All simple cycles with at most ``max_nodes`` nodes, each once.
-
-    Canonical traversal: smallest node first, direction toward the smaller
-    of the two start neighbors.
-    """
-    out = []
-    for start in range(n):
-        above = -1 << (start + 1)  # nodes strictly greater than start
-        if (adj[start] & above).bit_count() < 2:
-            continue
-        # path stack: (vertex, visited_mask, path)
-        stack = [(start, 1 << start, (start,))]
-        while stack:
-            v, visited, path = stack.pop()
-            nbrs = adj[v]
-            if len(path) >= 3 and (nbrs >> start) & 1 and path[1] < path[-1]:
-                out.append(path)
-            if len(path) == max_nodes:
-                continue
-            cand = nbrs & ~visited & above
-            while cand:
-                w = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                stack.append((w, visited | 1 << w, path + (w,)))
-    return out
+def tanner_adjacency(n: NormalGraph) -> list[Sequence[int]]:
+    """``node_adjacency`` of the structure's Tanner graph without its
+    degree-1 checks: node v, then edge ``e`` as the check ``n.n + e``.
+    Its cycles are the normal graph's at twice the length, and the smallest
+    node of each is a node of the structure."""
+    return node_adjacency(_edge_checks(n), n.edges)
 
 
 class CycleCensus:
@@ -148,14 +110,19 @@ class CycleCensus:
 
     def __init__(self, n: NormalGraph, max_normal_len: int | None = None):
         cap = n.n if max_normal_len is None else min(max_normal_len, n.n)
+        adj = tanner_adjacency(n)
+        full = (1 << n.n) - 1
         counts: dict[int, int] = {}
-        sets: dict[int, set[tuple[int, ...]]] = {}
-        for path in _cycles_upto(n.n, n.adj_masks, cap):
-            length = 2 * len(path)
-            counts[length] = counts.get(length, 0) + 1
-            sets.setdefault(length, set()).add(tuple(sorted(path)))
+        sets: dict[int, set[int]] = {}
+        for s in range(n.n):
+            for length, masks in cycle_levels(adj, s, 2 * cap, full):
+                if masks:
+                    counts[length] = counts.get(length, 0) + len(masks)
+                    sets.setdefault(length, set()).update(masks)
         self.counts = dict(sorted(counts.items()))
-        self._sets = {k: tuple(sorted(v)) for k, v in sorted(sets.items())}
+        self._sets = {
+            k: tuple(sorted(map(mask_bits, v))) for k, v in sorted(sets.items())
+        }
 
     @property
     def tanner_lengths(self) -> tuple[int, ...]:

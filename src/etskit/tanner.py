@@ -144,6 +144,50 @@ def node_adjacency(
     return [tuple(c + nv for c in row) for row in var_adj] + list(chk_adj)
 
 
+def cycle_levels(adj: Sequence[Sequence[int]], s: int, max_len: int, keep: int):
+    """Cycles of a bipartite graph whose smallest node is ``s``, shortest
+    first: for each length 4, 6, ... up to ``max_len``, yields ``(length,
+    masks)`` with one node bitmask per cycle, ANDed with ``keep``.  The
+    levels stop at the first length with no path left to grow.
+
+    Each cycle is found once, from ``s`` and its antipode ``x``, the node
+    half-way round.  Level ``h`` holds every simple path of ``h`` edges from
+    ``s`` over nodes ``> s``, as its end node and the bitmask of its other
+    nodes.  Two paths of level ``h`` that end at the same ``x``, with masks
+    that share only ``s``, are the two arcs of a cycle of length ``2h``.
+    Every cycle of length ``2h`` with smallest node ``s`` splits at ``s``
+    and ``x`` into two such arcs, so none is missed, and that unordered pair
+    of arcs is the only one that gives it, so none is found twice.
+    """
+    sbit = 1 << s
+    level = {w: [sbit] for w in adj[s] if w > s}  # end node -> path masks
+    length = 2
+    while level and length + 2 <= max_len:
+        length += 2
+        grown: dict[int, list[int]] = {}
+        for x, masks in level.items():
+            xbit = 1 << x
+            for w in adj[x]:
+                if w > s:
+                    wbit = 1 << w
+                    ends = None
+                    for m in masks:
+                        if not m & wbit:
+                            if ends is None:
+                                ends = grown.setdefault(w, [])
+                            ends.append(m | xbit)
+        level = grown
+        cycles = []
+        for x, masks in level.items():
+            if len(masks) > 1:
+                xbit = 1 << x
+                for i, m in enumerate(masks):
+                    for m2 in masks[i + 1:]:
+                        if m & m2 == sbit:
+                            cycles.append((m | m2 | xbit) & keep)
+        yield length, cycles
+
+
 def _girth_of(
     var_adj: Sequence[Sequence[int]], chk_adj: Sequence[Sequence[int]]
 ) -> float:

@@ -1,10 +1,58 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from etskit.lss import label_catalog
 from etskit.normal import NormalGraph, from_normal
 from etskit.structgen import ClassSpec, generate_structures
+
+
+# Wall-clock limit of each test's setup and of its call, about ten times the
+# slowest ordinary test, so that a search that no longer terminates fails
+# the run by name instead of holding it.  ``@pytest.mark.time_limit(s)``
+# gives a test another budget; ``extended`` tests have none.
+TEST_TIME_LIMIT_S = 120
+
+
+@contextmanager
+def _time_limit(item):
+    marker = item.get_closest_marker("time_limit")
+    seconds = marker.args[0] if marker else TEST_TIME_LIMIT_S
+    if item.get_closest_marker("extended") or not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past its {seconds} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", f"time_limit(seconds): time budget in place of {TEST_TIME_LIMIT_S} s"
+    )
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit(item):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit(item):
+        yield
 
 
 @pytest.fixture(scope="session")

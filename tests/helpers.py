@@ -9,10 +9,12 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+from etskit.errors import GraphConstraintError
 from etskit.lss import expand_to_k
-from etskit.normal import CycleCensus, NormalGraph, from_normal
+from etskit.normal import NormalGraph, check_degree_cap, from_normal
 from etskit.structgen import NA, CatalogEntry, _is_absorbing
-from etskit.tanner import TannerGraph, TrappingSetRecord, classify
+from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks, classify
+from etskit.tanner import mask_bits, members_of
 
 
 def to_alist(g: TannerGraph) -> str:
@@ -125,15 +127,82 @@ def unpruned_tanner_cycles(
     }
 
 
+def to_normal(graph: TannerGraph, s) -> NormalGraph:
+    """Reduce the induced subgraph of an elementary in-pool set: each even
+    check has exactly two members, and that pair is one edge."""
+    members = members_of(graph, s)
+    rec = classify(graph, members)
+    if not rec.elementary:
+        raise GraphConstraintError("set is not elementary, normal graph undefined")
+    if not rec.in_t:
+        raise GraphConstraintError(
+            "set is disconnected or has a member with fewer than two satisfied checks"
+        )
+    smask, odd, reached = check_masks(graph, members)
+    index = {v: i for i, v in enumerate(members)}
+    edges = [
+        [index[v] for v in mask_bits(graph.chk_vmask[c] & smask)]
+        for c in mask_bits(reached & ~odd)
+    ]
+    return NormalGraph(len(members), edges)
+
+
+def normal_b(n: NormalGraph, d_l: int) -> int:
+    """Unsatisfied-check count of the expanded set: sum of (d_l - deg)."""
+    check_degree_cap(n, d_l)
+    return n.n * d_l - 2 * n.m
+
+
+def normal_cycles_upto(n: int, adj, max_nodes: int):
+    """All simple cycles with at most ``max_nodes`` nodes, each once, by a
+    path DFS: the oracle for ``normal.CycleCensus``.
+
+    Canonical traversal: smallest node first, direction toward the smaller
+    of the two start neighbors.
+    """
+    out = []
+    for start in range(n):
+        above = -1 << (start + 1)  # nodes strictly greater than start
+        if (adj[start] & above).bit_count() < 2:
+            continue
+        # path stack: (vertex, visited_mask, path)
+        stack = [(start, 1 << start, (start,))]
+        while stack:
+            v, visited, path = stack.pop()
+            nbrs = adj[v]
+            if len(path) >= 3 and (nbrs >> start) & 1 and path[1] < path[-1]:
+                out.append(path)
+            if len(path) == max_nodes:
+                continue
+            cand = nbrs & ~visited & above
+            while cand:
+                w = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                stack.append((w, visited | 1 << w, path + (w,)))
+    return out
+
+
+def dfs_cycle_census(n: NormalGraph, max_normal_len: int):
+    """``(counts, node_sets)`` of the cycles of at most ``max_normal_len``
+    nodes by ``normal_cycles_upto``, keyed by Tanner length (2x), as
+    ``CycleCensus`` reports them."""
+    counts: Counter = Counter()
+    sets: dict[int, set[tuple[int, ...]]] = {}
+    for path in normal_cycles_upto(n.n, n.adj_masks, max_normal_len):
+        counts[2 * len(path)] += 1
+        sets.setdefault(2 * len(path), set()).add(tuple(sorted(path)))
+    return dict(sorted(counts.items())), {k: tuple(sorted(v)) for k, v in sets.items()}
+
+
 def tanner_lss_label(structure: NormalGraph, d_l: int):
-    """LSS label by layered expansion on the structure's Tanner graph: the
-    oracle for the normal-graph closure of ``lss.lss_label_of``."""
+    """LSS label by layered expansion on the structure's Tanner graph, with
+    its seeds from the DFS of ``dfs_cycle_census``: the oracle for the
+    normal-graph closure and the cycle pass of ``lss.lss_label_of``."""
     graph = from_normal(structure, d_l)
     full = tuple(range(structure.n))
     for normal_len in range(3, structure.n + 1):
-        census = CycleCensus(structure, max_normal_len=normal_len)
-        seeds = census.node_sets(2 * normal_len)
-        seeds = [s for s in seeds if len(s) == normal_len]
+        _, sets = dfs_cycle_census(structure, normal_len)
+        seeds = sets.get(2 * normal_len, ())
         if not seeds:
             continue
         records = [classify(graph, seed) for seed in seeds]

@@ -15,7 +15,7 @@ import pytest
 from etskit.canon import canonical_form
 from etskit.cli import main as cli_main
 from etskit.lss import expand_to_k
-from etskit.normal import NormalGraph, from_normal, normal_b, to_normal
+from etskit.normal import NormalGraph, from_normal
 from etskit.search import GUARANTEED, coverage_query, find_etss
 from etskit.structgen import NA, ClassSpec, class_feasible, generate_forms, generate_structures
 from etskit.tables import TABLES, get_table
@@ -28,10 +28,12 @@ from helpers import (
     frontier_sets,
     one_expansion,
     labeled_structure_buckets,
+    normal_b,
     pool_ets_up_to,
     random_tanner,
     sets_by_class,
     to_alist,
+    to_normal,
     tutte_coxeter,
 )
 
@@ -184,6 +186,7 @@ def test_c3_one_expansion_oracle():
     print(f"ACCEPTANCE C3 one_expansion: PASS ({graphs} graphs, {comparisons} comparisons)")
 
 
+@pytest.mark.time_limit(1800)
 def test_c3_generation_vs_bruteforce_bucketing():
     cells = 0
     for d_l in (3, 4, 5, 6):
@@ -203,6 +206,7 @@ def test_c3_generation_vs_bruteforce_bucketing():
     print(f"ACCEPTANCE C3 generation vs brute force: PASS ({cells} feasible specs, a<=7)")
 
 
+@pytest.mark.time_limit(1800)
 def test_c3_canonical_form_vs_oracle(catalogs):
     rng = random.Random(2024)
     desk = [

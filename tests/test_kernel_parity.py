@@ -1,8 +1,11 @@
 """The compiled kernel and the pure kernel must be interchangeable."""
 
 import hashlib
+import importlib
 import itertools
 import random
+import sys
+import types
 
 import pytest
 
@@ -98,6 +101,22 @@ def test_active_backend_reports():
     assert kernel.backend() in ("c", "pure")
     form, perm = kernel.canonical_bits(3, [0b110, 0b101, 0b011])
     assert form == _kernel.canonical_bits(3, [0b110, 0b101, 0b011])[0]
+
+
+def test_compiled_module_without_kernel_names_falls_back_to_pure(monkeypatch):
+    # an importable etskit._ckernel that lacks canonical_bits, as the stub of
+    # a zipped egg install is, must not break `import etskit`
+    active = kernel.backend()
+    monkeypatch.delenv("ETSKIT_PURE", raising=False)
+    monkeypatch.setitem(sys.modules, "etskit._ckernel", types.ModuleType("etskit._ckernel"))
+    try:
+        importlib.reload(kernel)
+        assert kernel.backend() == "pure"
+        assert kernel.canonical_bits is _kernel.canonical_bits
+    finally:
+        monkeypatch.undo()
+        importlib.reload(kernel)
+    assert kernel.backend() == active
 
 
 def test_node_cap():

@@ -301,7 +301,7 @@ def test_d4g8_9_8_absorbing_labels_match_tanner_oracle():
     # (9,8) where the shipped table row has {8:3}; both labellers give 10 to
     # all three absorbing structures, so the difference lies in that row
     from etskit.canon import CanonicalForm
-    from etskit.normal import normal_b
+    from helpers import normal_b
 
     for hexform in ("09070ece4a00", "0907166cf000", "090716ae4a00"):
         n = CanonicalForm.from_hex(hexform).decode()

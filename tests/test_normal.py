@@ -10,13 +10,11 @@ from etskit.normal import (
     from_graph6,
     from_normal,
     from_text,
-    normal_b,
     to_graph6,
-    to_normal,
     to_text,
 )
 from etskit.tanner import classify, gamma_split
-from helpers import cycles_by_arrangement
+from helpers import cycles_by_arrangement, dfs_cycle_census, normal_b, to_normal
 
 
 def test_to_normal_5_4(ets54, ets54_normal):
@@ -140,6 +138,32 @@ def test_cycle_census_ten_node_case():
     g = NormalGraph(10, [(i, (i + 1) % 10) for i in range(10)]
                     + [(0, 5), (2, 7)])
     assert dict(CycleCensus(g).counts) == dict(cycles_by_arrangement(g))
+
+
+def _random_connected(rng, n: int, density: float) -> NormalGraph:
+    """A random tree on ``n`` nodes plus each other pair with probability
+    ``density``."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < density}
+    return NormalGraph(n, edges)
+
+
+def test_cycle_census_matches_dfs_at_every_cap(catalogs):
+    rng = random.Random(16)
+    graphs = [_random_connected(rng, n, density)
+              for n in range(3, 11) for density in (0.1, 0.25, 0.4) for _ in range(3)]
+    for cell in ((3, 6, 8, 4), (4, 6, 6, 6), (5, 6, 8, 6), (3, 8, 9, 3)):
+        graphs += [e.normal_graph() for e in catalogs(*cell).entries]
+    lengths = set()
+    for g in graphs:
+        for cap in range(3, g.n + 1):
+            census = CycleCensus(g, max_normal_len=cap)
+            counts, sets = dfs_cycle_census(g, cap)
+            assert census.counts == counts, (g, cap)
+            assert {k: census.node_sets(k) for k in census.tanner_lengths} == sets, (g, cap)
+            lengths.update(counts)
+    # odd normal lengths (Tanner 6, 10, 14, 18) as well as even ones
+    assert set(range(6, 21, 2)) <= lengths
 
 
 def test_girth_correspondence(catalogs):

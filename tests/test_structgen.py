@@ -114,8 +114,9 @@ def test_known_counts(catalogs, dl, g, a, b, total, absorbing):
 
 
 def test_entries_are_valid_structures(catalogs):
-    from etskit.normal import from_normal, normal_b
+    from etskit.normal import from_normal
     from etskit.tanner import classify
+    from helpers import normal_b
 
     for (dl, g, a, b) in [(4, 6, 6, 6), (3, 6, 8, 2), (4, 8, 8, 8)]:
         cat = catalogs(dl, g, a, b)
