@@ -62,7 +62,7 @@ from etskit.normal import NormalGraph, check_degree_cap, tanner_adjacency
 from etskit.normal import CycleCensus, from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import CatalogEntry, Catalog
 from etskit.tables import NA, Label
-from etskit.tanner import TannerGraph, TrappingSetRecord, check_masks
+from etskit.tanner import TannerGraph, check_masks
 from etskit.tanner import cycle_levels, node_adjacency
 from etskit.tanner import classify  # noqa: F401  (patched by perfbench/tracing.py)
 
@@ -80,19 +80,19 @@ class ExpansionFrontier:
 
 
 def expand_to_k(
-    graph: TannerGraph, seeds: Iterable[TrappingSetRecord], k: int
+    graph: TannerGraph, seeds: Iterable[tuple[tuple[int, ...], int]], k: int
 ) -> ExpansionFrontier:
-    """Layered expansion of the seeds, ``classify`` records of elementary
-    in-pool sets, to every reachable set of size <= k."""
+    """Layered expansion of the seeds to every reachable set of size <= k.
+
+    Each seed is ``(members, b)``: the sorted member tuple of an elementary
+    set in the pool and its b, as ``search.cycle_seeds`` yields them.  The
+    seeds are not checked again; a seed larger than k is skipped."""
     if k > MAX_K:
         raise ValueError(f"k={k} above cap {MAX_K}")
     frontier = ExpansionFrontier()
-    for idx, rec in enumerate(seeds):
-        if rec.a > k:
-            continue
-        if not (rec.elementary and rec.in_t):
-            raise ValueError(f"seed {idx} is not an elementary set in the pool")
-        frontier.by_size.setdefault(rec.a, {}).setdefault(rec.members, rec.b)
+    for members, b in seeds:
+        if len(members) <= k:
+            frontier.by_size.setdefault(len(members), {}).setdefault(members, b)
     vc = graph.var_cmask
     cv = graph.chk_vmask
     for size in range(2, k):

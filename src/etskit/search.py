@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from etskit.lss import MAX_K, ExpansionFrontier, enumerate_tanner_cycles, expand_to_k
 from etskit.structgen import ClassSpec
 from etskit.tables import NA, get_table
-from etskit.tanner import TannerGraph, classify
-from etskit.tanner import gamma_split  # noqa: F401  (patched by perfbench/tracing.py)
+from etskit.tanner import TannerGraph, check_masks
+from etskit.tanner import classify, gamma_split  # noqa: F401  (patched by perfbench/tracing.py)
 
 GUARANTEED = "guaranteed"
 GUARANTEED_PARTIAL = "guaranteed-partial"
@@ -109,27 +110,46 @@ def _guarantee_for(graph: TannerGraph, a: int, b: int, max_len: int) -> str:
     return verdict
 
 
+def cycle_seeds(
+    graph: TannerGraph, cycles: dict[int, list[tuple[int, ...]]], k: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(members, b)`` of every elementary cycle set of at most ``k``
+    members, from the ``enumerate_tanner_cycles`` output ``cycles``:
+    lengths ascending, then list order, each with the enumerator's own
+    sorted member tuple.
+
+    Such a set is always in the pool.  The cycle joins its members one
+    after another through its checks, so the set is connected, and each
+    member lies on two of those checks.  Each of them has two members on
+    the cycle and, the set being elementary, no more, so it is satisfied.
+    The one test left is ``classify``'s elementarity test,
+    ``a*d_l == b + 2*|even|``, which with ``|even| = |reached| - b`` reads
+    ``a*d_l == 2*|reached| - b``.
+    """
+    d_l = graph.d_l
+    for length in sorted(cycles):
+        for members in cycles[length]:
+            a = len(members)
+            if a <= k:
+                _, odd, reached = check_masks(graph, members)
+                b = odd.bit_count()
+                if a * d_l == 2 * reached.bit_count() - b:
+                    yield members, b
+
+
 def find_etss(graph: TannerGraph, k: int, max_len: int, code_id: str = "") -> SearchReport:
     """All in-pool ETSs of size <= k reachable from cycles up to max_len.
 
-    Runs in one process.  A set of size a+1 is reached from many parents
-    of size a, so the layers are one shared frontier: split by seeds, each
-    share grows the sets it has in common with the others again.  The
-    seeds' ``classify`` records stream into the expansion, never held in a
-    list.  ``enumerate_tanner_cycles`` checks the cycle window and finds
-    no cycle in an acyclic graph.
+    Runs in one process.  The elementary cycle sets of at most k members,
+    from ``cycle_seeds``, stream into one ``expand_to_k`` call, never held
+    in a list; it grows every layer once, since a set of size a+1 is
+    reached from many parents of size a.  ``enumerate_tanner_cycles``
+    checks the cycle window and finds no cycle in an acyclic graph.
     """
     if not 2 <= k <= MAX_K:
         raise ValueError(f"k must be in 2..{MAX_K}")
     cycles = enumerate_tanner_cycles(graph, max_len)
-    records = (
-        classify(graph, members)
-        for length in sorted(cycles)
-        for members in cycles[length]
-        if len(members) <= k
-    )
-    seeds = (rec for rec in records if rec.elementary and rec.in_t)
-    frontier = expand_to_k(graph, seeds, k)
+    frontier = expand_to_k(graph, cycle_seeds(graph, cycles, k), k)
 
     layers = frontier.by_size.items()
     counts = Counter((size, b) for size, layer in layers for b in layer.values())

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import signal
+import traceback
 from contextlib import contextmanager
+
+try:
+    import resource
+except ImportError:  # not a POSIX system: no address-space limit
+    resource = None
 
 import pytest
 
@@ -37,22 +43,47 @@ def _time_limit(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+# Soft address-space limit of the test process, about four times the peak
+# of a whole tier-1 run (64 MB on either kernel, Python 3.11), so that a
+# runaway expansion fails its test by name with ``MemoryError`` before it
+# takes the host's memory.  It caps this process and the processes it
+# starts, and never raises a lower limit already set.
+TEST_MEMORY_LIMIT_MB = 256
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", f"time_limit(seconds): time budget in place of {TEST_TIME_LIMIT_S} s"
     )
+    if resource is not None:
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = TEST_MEMORY_LIMIT_MB << 20
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        if soft == resource.RLIM_INFINITY or soft > cap:
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_setup(item):
     with _time_limit(item):
-        yield
+        outcome = yield
+    _free_on_memory_error(outcome)
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     with _time_limit(item):
-        yield
+        outcome = yield
+    _free_on_memory_error(outcome)
+
+
+def _free_on_memory_error(outcome):
+    """Clear the finished frames of a step that ran out of memory, so that
+    what they hold is freed before pytest builds the failure report."""
+    excinfo = outcome.excinfo
+    if excinfo is not None and isinstance(excinfo[1], MemoryError):
+        traceback.clear_frames(excinfo[2])
 
 
 @pytest.fixture(scope="session")

@@ -205,10 +205,8 @@ def tanner_lss_label(structure: NormalGraph, d_l: int):
         seeds = sets.get(2 * normal_len, ())
         if not seeds:
             continue
-        records = [classify(graph, seed) for seed in seeds]
-        for rec in records:
-            assert rec.elementary and rec.in_t, "cycle seed must be in the pool"
-        frontier = expand_to_k(graph, records, k=structure.n)
+        # pool_seed raises if a cycle seed is not in the pool
+        frontier = expand_to_k(graph, [pool_seed(graph, s) for s in seeds], k=structure.n)
         if full in frontier.by_size.get(structure.n, ()):
             return 2 * normal_len
     return NA
@@ -260,19 +258,29 @@ def brute_classify(graph: TannerGraph, members) -> TrappingSetRecord:
 
 
 def cycle_seeds(graph: TannerGraph, max_len: int) -> list:
-    """``classify`` records of the elementary in-pool cycle sets of
-    ``graph`` up to ``max_len``: the seeds of a search, with the cycles
-    taken from the oracle rather than from the library enumerator."""
+    """``(members, b)`` of the cycle sets of ``graph`` up to ``max_len``
+    that ``classify`` finds elementary and in the pool: the seeds of a
+    search, with the cycles taken from the oracle rather than from the
+    library enumerator."""
     cycles = unpruned_tanner_cycles(graph, max_len)
     records = [classify(graph, s) for sets in cycles.values() for s in sets]
-    return [r for r in records if r.elementary and r.in_t]
+    return [(r.members, r.b) for r in records if r.elementary and r.in_t]
+
+
+def pool_seed(graph: TannerGraph, s) -> tuple[tuple[int, ...], int]:
+    """``(members, b)`` of the set ``s``, a seed for ``expand_to_k``;
+    ValueError unless ``classify`` finds it elementary and in the pool."""
+    rec = classify(graph, s)
+    if not (rec.elementary and rec.in_t):
+        raise ValueError(f"{rec.members} is not an elementary set in the pool")
+    return rec.members, rec.b
 
 
 def one_expansion(graph: TannerGraph, s) -> dict:
     """The library's one-step expansion of the in-pool elementary set
     ``s``: every size-(|s|+1) in-pool ETS containing it, with its b."""
     size = len(s) + 1
-    return expand_to_k(graph, [classify(graph, s)], size).by_size.get(size, {})
+    return expand_to_k(graph, [pool_seed(graph, s)], size).by_size.get(size, {})
 
 
 def frontier_sets(frontier) -> list[tuple[int, ...]]:
@@ -450,8 +458,8 @@ def cycles_by_arrangement(n: NormalGraph) -> Counter:
 
 def assert_nested(frontier, seeds) -> None:
     """Every grown set keeps a one-smaller ancestor in the frontier; the
-    ``classify`` records in ``seeds`` need none."""
-    seed_sets = {rec.members for rec in seeds}
+    ``(members, b)`` seeds need none."""
+    seed_sets = {members for members, _ in seeds}
     for size, layer in frontier.by_size.items():
         for members in layer:
             if members in seed_sets:

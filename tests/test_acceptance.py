@@ -178,7 +178,7 @@ def test_c3_one_expansion_oracle():
             continue
         graphs += 1
         frontier = expand_to_k(g, seeds[:3], k=min(6, nv))
-        probe = [rec.members for rec in seeds[:2]] + frontier_sets(frontier)[-2:]
+        probe = [members for members, _ in seeds[:2]] + frontier_sets(frontier)[-2:]
         for s in probe:
             assert set(one_expansion(g, s)) == brute_one_expansion(g, s)
             comparisons += 1

@@ -5,12 +5,14 @@ import pytest
 
 from etskit import cli, search
 from etskit.normal import from_normal
+from etskit.lss import MAX_K, enumerate_tanner_cycles
 from etskit.search import (
     GUARANTEED,
     GUARANTEED_PARTIAL,
     NONEXISTENT,
     UNCOVERED,
     coverage_query,
+    cycle_seeds,
     find_etss,
 )
 from etskit.structgen import ClassSpec
@@ -53,6 +55,35 @@ def test_guaranteed_iff_no_na_and_window_covers():
                 assert verdict == GUARANTEED_PARTIAL
             elif numeric and max(numeric) <= window:
                 assert verdict == GUARANTEED
+
+
+def test_cycle_seeds_are_the_classify_pool():
+    # the one popcount test keeps exactly the cycle sets that ``classify``
+    # finds elementary and in the pool, with its b, in the enumerator's order
+    codes = [
+        random_tanner(20, 3, 30, seed=1, girth_exactly=6),
+        random_tanner(16, 3, 12, seed=1),
+        random_tanner(18, 4, 44, seed=2, girth_exactly=6),
+        random_tanner(16, 4, 20, seed=1),
+        tutte_coxeter(),
+    ]
+    offered = rejected = 0
+    for g in codes:
+        for max_len in range(int(g.girth), int(g.girth) + 5, 2):
+            cycles = enumerate_tanner_cycles(g, max_len)
+            for k in (4, MAX_K):
+                want = []
+                for length in sorted(cycles):
+                    for members in cycles[length]:
+                        if len(members) <= k:
+                            offered += 1
+                            rec = classify(g, members)
+                            if rec.elementary and rec.in_t:
+                                want.append((rec.members, rec.b))
+                            else:
+                                rejected += 1
+                assert list(cycle_seeds(g, cycles, k)) == want, (g.key, max_len, k)
+    assert 0 < rejected < offered
 
 
 def test_find_etss_on_expanded_structure(ets62_normal):
