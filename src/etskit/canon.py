@@ -34,8 +34,8 @@ class CanonicalForm:
             raise ValueError(f"{text!r} is not one node-count byte and its bitmap")
         return cls(data)
 
-    def decode_edges(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Recover node count and edge list from the encoding."""
+    def decode(self) -> NormalGraph:
+        """The graph of the encoding, on its canonical labels."""
         n = self.data[0]
         bits = self.data[1:]
         edges = []
@@ -45,10 +45,6 @@ class CanonicalForm:
                 if bits[k >> 3] >> (7 - (k & 7)) & 1:
                     edges.append((i, j))
                 k += 1
-        return n, tuple(edges)
-
-    def decode(self) -> NormalGraph:
-        n, edges = self.decode_edges()
         return NormalGraph(n, edges)
 
 

@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy and text-input checks shared across the toolkit."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 
 class EtsError(Exception):
@@ -40,3 +40,16 @@ def decode_utf8(data: bytes, error: Callable[[int, str], EtsError]) -> str:
         head = data[: exc.start].decode("utf-8")
         line = len((head + "?").splitlines())  # "?" stands in for the bad byte
         raise error(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from exc
+
+
+def int_lines(text: str, error: Callable[[int, str], EtsError]) -> Iterator[tuple[int, list[int]]]:
+    """``(line, integers)`` of each non-blank line, lines numbered from 1.
+    A token that is not a run of ASCII digits (a sign, an underscore, a
+    non-ASCII digit) raises ``error(line, message)``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens:
+            digits = "".join(tokens)
+            if not (digits.isascii() and digits.isdigit()):
+                raise error(lineno, f"non-integer token in {tokens!r}")
+            yield lineno, [int(tok) for tok in tokens]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from etskit.errors import GraphConstraintError
+from etskit.errors import GraphConstraintError, int_lines
 from etskit.tanner import TannerGraph, cycle_levels, mask_bits, mask_connected
 from etskit.tanner import node_adjacency
 
@@ -139,20 +139,18 @@ def to_text(n: NormalGraph) -> str:
 
 
 def from_text(text: str) -> NormalGraph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    """Inverse of ``to_text``; a bad token or edge line is named by its line."""
+    rows = list(int_lines(text, lambda line, msg: GraphConstraintError(f"line {line}: {msg}")))
+    if not rows or len(rows[0][1]) != 2:
         raise GraphConstraintError("expected 'n m' header")
-    nn, m = int(rows[0][0]), int(rows[0][1])
+    nn, m = rows[0][1]
     if len(rows) - 1 != m:
         raise GraphConstraintError(f"expected {m} edge lines, got {len(rows) - 1}")
     edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise GraphConstraintError(f"bad edge line {' '.join(row)!r}")
-        i, j = int(row[0]), int(row[1])
-        if not i < j:
-            raise GraphConstraintError(f"edge {i} {j} not in i < j form")
-        edges.append((i, j))
+    for lineno, row in rows[1:]:
+        if len(row) != 2 or not row[0] < row[1]:
+            raise GraphConstraintError(f"line {lineno}: expected an edge 'i j' with i < j")
+        edges.append(tuple(row))
     return NormalGraph(nn, edges)
 
 

@@ -8,9 +8,18 @@ graph to be triangle-free (Tanner cycle lengths are twice normal ones).
 Generation is orderly: edge sets grow one edge at a time and a grown graph
 survives only if the edge it marks for deletion leads back to the parent
 it actually grew from, so each isomorphism class is produced exactly once.
-Degree caps, girth, and edge-count feasibility prune during growth;
-connectivity and the minimum degree of 2 are final filters (they are not
-closed under edge deletion).
+Degree caps, girth and a deficit bound prune during growth; connectivity
+is the final filter (it is not closed under edge deletion).  With k of m
+edges placed and final minimum degree f, the deficit sums f - d over the
+nodes of degree d < f, and a child survives while it is at most 2(m - k).
+Deleting an edge adds at most 2 to the deficit and exactly 2 to 2(m - k),
+so the bound is closed under edge deletion; at depth m it leaves no degree
+below f.  A child's deficit is its parent's less one per endpoint below f,
+an O(1) test per candidate edge.  The capacity twin, 2(m - k) <=
+sum(max_deg - d) = a*max_deg - 2k, is the constant 2m <= a*max_deg, tested
+once up front: a sparse class meets it, and a dense class's complement
+(C(a,2) - m edges, cap a - 3) meets it exactly when m >= a.  With no edge
+to place it also forces f = 0.
 
 The deletion edge is chosen invariant-first (McKay's canonical construction
 paths).  Each edge (x, y) gets the cheap key (larger endpoint degree,
@@ -22,13 +31,13 @@ canonical labelling.  This is exact:
 - The key is an isomorphism invariant of (graph, edge), and the canonical
   labelling is one too, so the deletion edge is fixed up to automorphism
   and ``child - deletion edge`` is one isomorphism class, its parent.
-- ``G - e`` and ``G - f`` isomorphic implies ``key(e) == key(f)``: the
+- ``G - e`` and ``G - e'`` isomorphic implies ``key(e) == key(e')``: the
   degree multiset of ``G - e`` fixes the endpoint degrees of ``e``, and
   ``G - e`` has exactly the triangles of ``G`` not through ``e``.  So a
   child whose added edge has a smaller key is not isomorphic to its
   parent plus the deletion edge, and rejecting it early loses nothing.
 - Deleting any edge of a valid node gives a valid node: degree caps, girth
-  and ``_feasible_partial`` are all closed under edge deletion.  So every
+  and the deficit bound are all closed under edge deletion.  So every
   class's parent is itself generated, and the class is accepted from that
   one parent class, once (``seen`` merges the extensions of one parent
   that give the same child).
@@ -161,17 +170,6 @@ def _creates_c4(adj, u: int, v: int) -> bool:
     return False
 
 
-def _feasible_partial(task: _GenTask, degs, k: int) -> bool:
-    rem = task.m - k
-    capacity = 0
-    deficit = 0
-    for d in degs:
-        capacity += task.max_deg - d
-        if d < task.min_deg_final:
-            deficit += task.min_deg_final - d
-    return 2 * rem <= capacity and deficit <= 2 * rem
-
-
 def _top_edges(adj, degs, u: int, v: int):
     """Edges whose key equals that of the added edge ``(u, v)``, as
     ``(x, y)`` with ``x < y``; ``None`` when some edge has a larger key.
@@ -218,17 +216,24 @@ def _deletion_edge(perm, top) -> tuple[int, int]:
 def _children(task: _GenTask, adj, degs, k: int, form: bytes):
     """Accepted one-edge extensions of the current graph, deduplicated."""
     n = task.n
+    f = task.min_deg_final
     out = []
     seen = set()
     top_deg = max(degs)
+    # endpoints below f the added edge needs for the deficit bound
+    need = sum(f - d for d in degs if d < f) - 2 * (task.m - k - 1)
     for u in range(n):
-        if degs[u] >= task.max_deg:
+        du = degs[u]
+        if du >= task.max_deg:
             continue
         au = adj[u]
         for v in range(u + 1, n):
-            if degs[v] >= task.max_deg or (au >> v) & 1:
+            dv = degs[v]
+            if dv >= task.max_deg or (au >> v) & 1:
                 continue
-            if max(degs[u], degs[v]) + 1 < top_deg:
+            if (du < f) + (dv < f) < need:
+                continue
+            if max(du, dv) + 1 < top_deg:
                 continue  # an edge at a node of top degree has a larger key
             if task.min_girth >= 4 and au & adj[v]:
                 continue
@@ -238,24 +243,23 @@ def _children(task: _GenTask, adj, degs, k: int, form: bytes):
             adj[v] |= 1 << u
             degs[u] += 1
             degs[v] += 1
-            if _feasible_partial(task, degs, k + 1):
-                top = _top_edges(adj, degs, u, v)
-                if top is not None:
-                    child_form, perm = canonical_masks(n, adj)
-                    if child_form not in seen:
-                        seen.add(child_form)
-                        fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
-                        if (fu, fv) == (u, v):
-                            ok = True
-                        else:
-                            adj[fu] &= ~(1 << fv)
-                            adj[fv] &= ~(1 << fu)
-                            parent_form, _ = canonical_masks(n, adj)
-                            adj[fu] |= 1 << fv
-                            adj[fv] |= 1 << fu
-                            ok = parent_form == form
-                        if ok:
-                            out.append((list(adj), child_form))
+            top = _top_edges(adj, degs, u, v)
+            if top is not None:
+                child_form, perm = canonical_masks(n, adj)
+                if child_form not in seen:
+                    seen.add(child_form)
+                    fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
+                    if (fu, fv) == (u, v):
+                        ok = True
+                    else:
+                        adj[fu] &= ~(1 << fv)
+                        adj[fv] &= ~(1 << fu)
+                        parent_form, _ = canonical_masks(n, adj)
+                        adj[fu] |= 1 << fv
+                        adj[fv] |= 1 << fu
+                        ok = parent_form == form
+                    if ok:
+                        out.append((list(adj), child_form))
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             degs[u] -= 1
@@ -269,11 +273,10 @@ def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
     stack = [(list(adj), k, form)]
     while stack:
         cur, depth, cur_form = stack.pop()
-        degs = [m.bit_count() for m in cur]
         if depth == task.m:
-            if min(degs) >= task.min_deg_final:
-                finals.append((cur, cur_form))
+            finals.append((cur, cur_form))  # the deficit bound left no degree below f
             continue
+        degs = [m.bit_count() for m in cur]
         stack.extend(
             (child, depth + 1, child_form)
             for child, child_form in _children(task, cur, degs, depth, cur_form)
@@ -294,6 +297,8 @@ def generate_forms(
         return []  # connected with minimum degree 2 forces m >= a
     if min_normal_girth >= 4 and m > a * a // 4:
         return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
+    if 2 * m > a * max_deg:
+        return []  # a nodes of degree <= max_deg hold at most a*max_deg/2 edges
     total_pairs = a * (a - 1) // 2
     complemented = min_normal_girth == 3 and m > total_pairs // 2
     if complemented:
@@ -368,15 +373,12 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
         raise GraphConstraintError(f"bad canonical form in {ln!r}") from exc
     if parts[1] not in ("0", "1"):
         raise GraphConstraintError(f"bad absorbing flag in {ln!r}")
-    lss: Optional[Label]
-    if parts[2] == "?":
-        lss = None
-    elif parts[2] == NA:
-        lss = NA
-    elif parts[2].isdecimal():
-        lss = int(parts[2])
-    else:
-        raise GraphConstraintError(f"bad LSS label in {ln!r}")
+    lss: Optional[Label] = None if parts[2] == "?" else parts[2]
+    if lss not in (None, NA):
+        # an even cycle length from g to 2a, written as format_catalog does
+        lss = int(lss) if lss.isascii() and lss.isdigit() else 0
+        if str(lss) != parts[2] or lss % 2 or not spec.g <= lss <= 2 * spec.a:
+            raise GraphConstraintError(f"bad LSS label in {ln!r}")
     graph = form.decode()
     if graph.n != spec.a or graph.m != spec.num_edges:
         raise GraphConstraintError(

@@ -29,7 +29,7 @@ from math import inf
 from operator import or_
 from typing import Iterable, Sequence, Union
 
-from etskit.errors import AlistParseError, BindingError, GraphConstraintError, decode_utf8
+from etskit.errors import AlistParseError, BindingError, GraphConstraintError, decode_utf8, int_lines
 
 MIN_LEFT_DEGREE = 3
 MIN_GIRTH = 6
@@ -281,29 +281,19 @@ def classify(graph: TannerGraph, s: Iterable[int]) -> TrappingSetRecord:
     )
 
 
-def _int_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            yield lineno, [int(tok) for tok in stripped.split()]
-        except ValueError:
-            raise AlistParseError(lineno, f"non-integer token in {stripped.split()!r}")
-
-
 def parse_alist(text: Union[str, bytes]) -> TannerGraph:
     """Parse MacKay alist text into a validated TannerGraph.
 
     Layout: ``n m`` header, max degrees, per-variable degrees, per-check
     degrees, then one neighbor line per variable and per check (1-indexed,
-    zero padding ignored).  The max degrees must be the largest entries of
-    the two degree lists, and nothing but blank lines may follow the last
+    zero padding ignored).  Every token is a run of ASCII digits, so ``+3``
+    or ``0_3`` fails.  The max degrees must be the largest entries of the
+    two degree lists, and nothing but blank lines may follow the last
     check's line.
     """
     if isinstance(text, bytes):
         text = decode_utf8(text, AlistParseError)
-    lines = list(_int_lines(text))
+    lines = list(int_lines(text, AlistParseError))
     if not lines:
         raise AlistParseError(1, "empty alist")
     pos = 0
@@ -350,7 +340,7 @@ def parse_alist(text: Union[str, bytes]) -> TannerGraph:
                     lineno, f"{kind} {i} lists {len(ids)} {other}s, degree list says {deg}"
                 )
             for x in ids:
-                if x < 1 or x > bound:
+                if x > bound:  # tokens are digits and zeros are dropped, so x >= 1
                     raise AlistParseError(lineno, f"{other} index {x} out of range 1..{bound}")
             if len(set(ids)) != len(ids):
                 raise AlistParseError(lineno, f"parallel edge: {kind} {i} repeats a {other}")

@@ -179,6 +179,22 @@ def test_text_round_trip(prism):
         from_text("3\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 x\n", "line 1: non-integer token in ['2', 'x']"),
+        ("3 2\n\n0 1\n1 +2\n", "line 4: non-integer token in ['1', '+2']"),
+        ("3 2\n0 1\n1 \u0662\n", "line 3: non-integer token in ['1', '\u0662']"),
+        ("3 2\n0 1\n2 1\n", "line 3: expected an edge 'i j' with i < j"),
+        ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'i j' with i < j"),
+    ],
+)
+def test_text_errors_name_their_line(text, message):
+    with pytest.raises(GraphConstraintError) as err:
+        from_text(text)
+    assert str(err.value) == message
+
+
 def test_graph6_round_trip(prism, k33, ets54_normal):
     for g in (prism, k33, ets54_normal):
         assert from_graph6(to_graph6(g)) == g

@@ -54,10 +54,33 @@ def test_mantel_bound_skips_orderly_search(monkeypatch):
 def test_key_first_deletion_skips_canonical_calls(monkeypatch):
     # children whose added edge does not have the largest (degree pair,
     # triangles) key are rejected before canonical labelling; choosing the
-    # deletion edge by canonical position alone took 33,030 calls here
+    # deletion edge by canonical position alone took 33,030 calls here.
+    # This also pins the call count of a sparse cell.
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(4, 6, 8, 8))) == 250
     assert calls[0] == 4595
+
+
+def test_complemented_cell_canonical_call_count(monkeypatch):
+    # d5g6 (8,8) has 16 of 28 edges and grows as its complement; the
+    # constant-time deficit test must prune exactly as the full recount did
+    calls = _count_canonical_calls(monkeypatch)
+    assert len(generate_structures(ClassSpec(5, 6, 8, 8))) == 461
+    assert calls[0] == 6300
+
+
+@pytest.mark.parametrize(
+    "a,m,max_deg",
+    [
+        (8, 13, 3),  # sparse: 26 degrees, at most 24 room
+        (6, 10, 3),  # dense, grown as the complement: 20 degrees, 18 room
+    ],
+)
+def test_degree_sum_bound_skips_orderly_search(monkeypatch, a, m, max_deg):
+    # 2m > a*max_deg: no graph fits, and not even the root is labelled
+    calls = _count_canonical_calls(monkeypatch)
+    assert generate_forms(a, m, max_deg) == []
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -265,6 +288,10 @@ def test_catalog_file_rejects_garbage():
         ("# 4 6 6 2\nzz\t5\t6\n", "line 2: bad canonical form"),
         ("# 4 6 6 2\n06\t1\t?\n", "line 2: bad canonical form"),
         (f"{header}\n{row[:-1]}x\n", "line 2: bad LSS label"),
+        # a label is an even cycle length from g = 6 to 2a = 12, in ASCII
+        # digits as format_catalog writes it
+        *((f"{header}\n{hexform}\t{flag}\t{bad}\n", "line 2: bad LSS label")
+          for bad in ("7", "0", "4", "14", "99", "\u0661\u0660", "06", "+6", "")),
         (f"{header}\n{relabeled}\t{flag}\t{lss}\n", "line 2: .* not the canonical form"),
         (f"{header}\n{row}\n{other}\n\n{row}\n", "line 5: duplicate of the row on line 2"),
         (f"{header}\n{other}\n{hexform}\t{flipped}\t{lss}\n",
@@ -275,6 +302,15 @@ def test_catalog_file_rejects_garbage():
     for text, message in cases:
         with pytest.raises(GraphConstraintError, match=message):
             parse_catalog(text)
+
+
+def test_catalog_labels_at_the_range_ends_round_trip():
+    # g = 6 and 2a = 12 bound the labels of a (6, b) class in girth 6
+    good = format_catalog(generate_structures(ClassSpec(4, 6, 6, 2))).splitlines()
+    hexform, flag, _ = good[1].split("\t")
+    for label in ("6", "12", "NA", "?"):
+        text = f"{good[0]}\n{hexform}\t{flag}\t{label}\n"
+        assert format_catalog(parse_catalog(text)) == text
 
 
 def test_unlabeled_catalog_round_trip():

@@ -135,6 +135,11 @@ def _k4_with(lines: dict[int, str]) -> str:
         ("\n".join(_K4_ALIST[:8]) + "\n", 9,
          "unexpected end of file, expected neighbor list of check 1"),
         (_k4_with({6: "1 x 5"}), 6, "non-integer token in ['1', 'x', '5']"),
+        # int() accepts each of these; a token is a run of ASCII digits
+        (_k4_with({6: "1 +4 5"}), 6, "non-integer token in ['1', '+4', '5']"),
+        (_k4_with({6: "1 0_4 5"}), 6, "non-integer token in ['1', '0_4', '5']"),
+        (_k4_with({6: "1 \u0664 5"}), 6, "non-integer token in ['1', '\u0664', '5']"),
+        (_k4_with({6: "1 4 -5"}), 6, "non-integer token in ['1', '4', '-5']"),
         (_k4_with({1: "4"}), 1, "malformed header, expected 'n m'"),
         (_k4_with({2: "3"}), 2, "malformed max-degree line"),
         (_k4_with({2: "9 9"}), 2, "max degrees 9 9, but the degree lists reach 3 2"),
