@@ -41,14 +41,27 @@ def _hist_str(hist: dict) -> str:
     return "{" + inner + "}"
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is an optional '-' and ASCII digits; ``int`` alone
+    would also take a '+', an underscore or non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _integer(text: str) -> int:
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"must be an ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
 def _class_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dl", type=int, required=True, help="variable-node degree (3..6)")
-    p.add_argument("--girth", type=int, required=True, help="Tanner girth (6 or 8)")
+    p.add_argument("--dl", type=_integer, required=True, help="variable-node degree (3..6)")
+    p.add_argument("--girth", type=_integer, required=True, help="Tanner girth (6 or 8)")
 
 
 def _thread_count(text: str) -> int:
     cap = os.cpu_count() or 1
-    if not text.isdecimal() or not 1 <= int(text) <= cap:
+    if not _is_decimal(text) or not 1 <= int(text) <= cap:
         raise argparse.ArgumentTypeError(
             f"must be an integer in 1..{cap} (the CPU count), got {text!r}"
         )
@@ -182,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the catalog of one (a,b) class")
     _class_args(p)
-    p.add_argument("--a", type=int, required=True, help="trapping-set size")
-    p.add_argument("--b", type=int, required=True, help="unsatisfied-check count")
+    p.add_argument("--a", type=_integer, required=True, help="trapping-set size")
+    p.add_argument("--b", type=_integer, required=True, help="unsatisfied-check count")
     p.add_argument("--out", required=True, help="catalog file to write")
     p.add_argument("--extended", action="store_true",
                    help="allow classes with more than 1000 structures")
@@ -200,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search a concrete code for trapping sets")
     p.add_argument("--alist", required=True, help="parity-check matrix in alist form")
-    p.add_argument("--k", type=int, required=True, help="largest set size to search")
-    p.add_argument("--max-cycle-len", type=int, required=True, dest="max_cycle_len",
+    p.add_argument("--k", type=_integer, required=True, help="largest set size to search")
+    p.add_argument("--max-cycle-len", type=_integer, required=True, dest="max_cycle_len",
                    help="longest cycle length used as seeds")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--sets", action="store_true", help="include the sets in the report")
@@ -213,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="diff regenerated catalogs against shipped tables")
     _class_args(p)
-    p.add_argument("--max-a", type=int, default=9, dest="max_a")
+    p.add_argument("--max-a", type=_integer, default=9, dest="max_a")
     p.add_argument("--extended", action="store_true",
                    help="include classes with more than 1000 structures")
     _threads_arg(p)

@@ -203,7 +203,6 @@ def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
 
 
 def label_catalog(catalog: Catalog) -> Catalog:
-    """Catalog with every entry labeled, in one process: a whole cell takes
-    a fraction of a second, less than starting a worker pool costs."""
+    """Catalog with every entry labeled."""
     labeled = [replace(e, lss=classify_lss(e)) for e in catalog.entries]
     return Catalog(spec=catalog.spec, entries=labeled, reason=catalog.reason)

@@ -5,9 +5,10 @@ to connected simple graphs with ``a`` nodes, ``(a*d_l - b)/2`` edges, and
 node degrees in ``[2, d_l]``; a girth-8 class additionally requires the
 graph to be triangle-free (Tanner cycle lengths are twice normal ones).
 
-Generation is orderly: edge sets grow one edge at a time and a grown graph
-survives only if the edge it marks for deletion leads back to the parent
-it actually grew from, so each isomorphism class is produced exactly once.
+Generation is orderly and is one depth-first pass from the empty graph:
+edge sets grow one edge at a time and a grown graph survives only if the
+edge it marks for deletion leads back to the parent it actually grew from,
+so each isomorphism class is produced exactly once.
 Degree caps, girth and a deficit bound prune during growth; connectivity
 is the final filter (it is not closed under edge deletion).  With k of m
 edges placed and final minimum degree f, the deficit sums f - d over the
@@ -150,15 +151,6 @@ def _is_absorbing(degrees, d_l: int) -> bool:
 # orderly generation
 
 
-@dataclass(frozen=True)
-class _GenTask:
-    n: int
-    m: int
-    max_deg: int
-    min_girth: int
-    min_deg_final: int
-
-
 def _creates_c4(adj, u: int, v: int) -> bool:
     au = adj[u] & ~(1 << v)
     block = ~(1 << u)
@@ -213,75 +205,65 @@ def _deletion_edge(perm, top) -> tuple[int, int]:
     return max(top, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
 
 
-def _children(task: _GenTask, adj, degs, k: int, form: bytes):
-    """Accepted one-edge extensions of the current graph, deduplicated."""
-    n = task.n
-    f = task.min_deg_final
-    out = []
-    seen = set()
-    top_deg = max(degs)
-    # endpoints below f the added edge needs for the deficit bound
-    need = sum(f - d for d in degs if d < f) - 2 * (task.m - k - 1)
-    for u in range(n):
-        du = degs[u]
-        if du >= task.max_deg:
-            continue
-        au = adj[u]
-        for v in range(u + 1, n):
-            dv = degs[v]
-            if dv >= task.max_deg or (au >> v) & 1:
-                continue
-            if (du < f) + (dv < f) < need:
-                continue
-            if max(du, dv) + 1 < top_deg:
-                continue  # an edge at a node of top degree has a larger key
-            if task.min_girth >= 4 and au & adj[v]:
-                continue
-            if task.min_girth >= 5 and _creates_c4(adj, u, v):
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            degs[u] += 1
-            degs[v] += 1
-            top = _top_edges(adj, degs, u, v)
-            if top is not None:
-                child_form, perm = canonical_masks(n, adj)
-                if child_form not in seen:
-                    seen.add(child_form)
-                    fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
-                    if (fu, fv) == (u, v):
-                        ok = True
-                    else:
-                        adj[fu] &= ~(1 << fv)
-                        adj[fv] &= ~(1 << fu)
-                        parent_form, _ = canonical_masks(n, adj)
-                        adj[fu] |= 1 << fv
-                        adj[fv] |= 1 << fu
-                        ok = parent_form == form
-                    if ok:
-                        out.append((list(adj), child_form))
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            degs[u] -= 1
-            degs[v] -= 1
-    return out
-
-
-def _run_subtree(task: _GenTask, adj, k: int, form: bytes):
-    """Depth-first completion of one generation subtree."""
-    finals = []
-    stack = [(list(adj), k, form)]
+def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
+    """Orderly generation, depth first from the empty graph on ``a`` nodes:
+    yields ``(adj, form)`` for each accepted graph of ``m`` edges whose
+    degrees are at most ``max_deg`` and whose normal girth is at least
+    ``min_girth``.  The deficit bound leaves no degree below ``f``."""
+    root = [0] * a
+    stack = [(root, 0, canonical_masks(a, root)[0])]
     while stack:
-        cur, depth, cur_form = stack.pop()
-        if depth == task.m:
-            finals.append((cur, cur_form))  # the deficit bound left no degree below f
+        adj, k, form = stack.pop()
+        if k == m:
+            yield adj, form
             continue
-        degs = [m.bit_count() for m in cur]
-        stack.extend(
-            (child, depth + 1, child_form)
-            for child, child_form in _children(task, cur, degs, depth, cur_form)
-        )
-    return finals
+        degs = [x.bit_count() for x in adj]
+        seen = set()  # one parent's extensions that give the same child
+        top_deg = max(degs)
+        # endpoints below f the added edge needs for the deficit bound
+        need = sum(f - d for d in degs if d < f) - 2 * (m - k - 1)
+        for u in range(a):
+            du = degs[u]
+            if du >= max_deg:
+                continue
+            au = adj[u]
+            for v in range(u + 1, a):
+                dv = degs[v]
+                if dv >= max_deg or (au >> v) & 1:
+                    continue
+                if (du < f) + (dv < f) < need:
+                    continue
+                if max(du, dv) + 1 < top_deg:
+                    continue  # an edge at a node of top degree has a larger key
+                if min_girth >= 4 and au & adj[v]:
+                    continue
+                if min_girth >= 5 and _creates_c4(adj, u, v):
+                    continue
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                degs[u] += 1
+                degs[v] += 1
+                top = _top_edges(adj, degs, u, v)
+                if top is not None:
+                    child_form, perm = canonical_masks(a, adj)
+                    if child_form not in seen:
+                        seen.add(child_form)
+                        fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
+                        if (fu, fv) == (u, v):
+                            ok = True
+                        else:
+                            adj[fu] &= ~(1 << fv)
+                            adj[fv] &= ~(1 << fu)
+                            parent_form, _ = canonical_masks(a, adj)
+                            adj[fu] |= 1 << fv
+                            adj[fv] |= 1 << fu
+                            ok = parent_form == form
+                        if ok:
+                            stack.append((list(adj), k + 1, child_form))
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+                degs[u] -= 1
+                degs[v] -= 1
 
 
 def generate_forms(
@@ -299,35 +281,18 @@ def generate_forms(
         return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
     if 2 * m > a * max_deg:
         return []  # a nodes of degree <= max_deg hold at most a*max_deg/2 edges
-    total_pairs = a * (a - 1) // 2
-    complemented = min_normal_girth == 3 and m > total_pairs // 2
-    if complemented:
-        task = _GenTask(
-            n=a,
-            m=total_pairs - m,
-            max_deg=a - 3,  # complement of min-degree-2
-            min_girth=3,
-            min_deg_final=max(0, a - 1 - max_deg),
-        )
-    else:
-        task = _GenTask(n=a, m=m, max_deg=max_deg, min_girth=min_normal_girth,
-                        min_deg_final=2)
-
-    root_adj = [0] * a
-    root_form, _ = canonical_masks(a, root_adj)
-    raw = _run_subtree(task, root_adj, 0, root_form)
-
-    forms = []
     full = (1 << a) - 1
-    if complemented:
-        for adj, _ in raw:
+    total_pairs = a * (a - 1) // 2
+    if min_normal_girth == 3 and m > total_pairs // 2:
+        # grow the complement, whose degrees lie in [a - 1 - max_deg, a - 3]
+        forms = []
+        for adj, _ in _grow(a, total_pairs - m, a - 3, 3, max(0, a - 1 - max_deg)):
             orig = [full & ~x & ~(1 << v) for v, x in enumerate(adj)]
-            if not mask_connected(orig, full):
-                continue
-            form, _ = canonical_masks(a, orig)
-            forms.append(form)
+            if mask_connected(orig, full):
+                forms.append(canonical_masks(a, orig)[0])
     else:
-        forms = [form for adj, form in raw if mask_connected(adj, full)]
+        forms = [form for adj, form in _grow(a, m, max_deg, min_normal_girth, 2)
+                 if mask_connected(adj, full)]
     forms.sort()
     return [CanonicalForm(f) for f in forms]
 
@@ -414,6 +379,11 @@ def parse_catalog(text: str) -> Catalog:
     if len(head) != 4:
         raise GraphConstraintError("catalog header must be '# dl g a b'")
     try:
+        # ASCII digits only, as errors.int_lines reads numbers: int() would
+        # also take a sign, an underscore or a non-ASCII digit
+        digits = "".join(head)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"non-integer token in {head!r}")
         spec = ClassSpec(*(int(x) for x in head))
     except ValueError as exc:
         raise GraphConstraintError(f"line {lines[0][0]}: bad catalog header: {exc}") from exc

@@ -191,6 +191,27 @@ def test_threads_bounded_by_cpu_count(command, capsys):
         assert f"1..{cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["\u0664", "+4", "1_0", "\u0661"])
+@pytest.mark.parametrize("command,option", [
+    ("gen", "--dl"), ("gen", "--girth"), ("gen", "--a"), ("gen", "--b"),
+    ("gen", "--threads"), ("search", "--k"), ("search", "--max-cycle-len"),
+    ("verify", "--max-a"),
+])
+def test_integer_options_take_ascii_decimal_only(command, option, bad, capsys):
+    # parsing only: int() would read each of these as a number
+    argv = {
+        "gen": ["gen", "--dl", "4", "--girth", "6", "--a", "6", "--b", "2",
+                "--out", "c.cat"],
+        "search": ["search", "--alist", "c.alist", "--k", "5",
+                   "--max-cycle-len", "6", "--out", "r.json"],
+        "verify": ["verify", "--dl", "3", "--girth", "8"],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv + [option, bad])
+    assert err.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_process_pool():
     # every command runs in one process, so the CLI has no reason to load
     # the multiprocessing machinery; a fresh interpreter shows what it pulls in

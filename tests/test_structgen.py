@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from etskit.canon import CanonicalForm, canonical_form
@@ -210,20 +212,33 @@ def test_annotate_absorbing(catalogs):
 def test_dense_and_sparse_paths_agree():
     # (6,6,7,2) runs through the complement path; rebuild it directly
     from etskit.tanner import mask_connected
-    from etskit.structgen import _GenTask, _run_subtree
-    from etskit.canon import canonical_masks
+    from etskit.structgen import _grow
 
     spec = ClassSpec(6, 6, 7, 2)
     dense = generate_structures(spec)
-    task = _GenTask(n=7, m=spec.num_edges, max_deg=6, min_girth=3, min_deg_final=2)
-    root = [0] * 7
-    form0, _ = canonical_masks(7, root)
-    raw = _run_subtree(task, root, 0, form0)
     direct = sorted(
-        form for adj, form in raw
+        form for adj, form in _grow(7, spec.num_edges, 6, 3, 2)
         if mask_connected(adj, (1 << 7) - 1) and all(m.bit_count() >= 2 for m in adj)
     )
     assert [e.form.data for e in dense.entries] == direct
+
+
+# sha256 of the labelled format_catalog text of a sparse cell, a cell grown
+# as its complement, a girth-8 cell and one rejected outright, taken before
+# orderly generation became one depth-first generator; any change to the
+# forms, their order, the absorbing flags or the labels shows here
+PINNED_CATALOGS = {
+    (4, 6, 8, 8): "2edd461ba4f60feb3ea4a2fa771573172b3678e3667e007103e594c6d590fce3",
+    (5, 6, 8, 8): "d0248da947a303e867fa0f07b13b6eea4695e02eec0410b54f6ebd47a3cd885d",
+    (3, 8, 8, 4): "c4f841129d9e455d7988ccc7b5a7de0793cccc8501e7ebf504a80c280217c096",
+    (6, 8, 4, 0): "3f7404cecd0f12105256f7611cd9c72ba22b54a5274494ac339e0217d2f82d27",
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_CATALOGS))
+def test_catalog_bytes_pinned(catalogs, cell):
+    text = format_catalog(catalogs(*cell))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CATALOGS[cell]
 
 
 def test_generate_structures_is_repeatable():
@@ -284,6 +299,9 @@ def test_catalog_file_rejects_garbage():
         ("no header\n", "header"),
         ("# 4 6 x 2\n", "line 1: bad catalog header"),
         ("\n# 4 6 11 2\n", "line 2: bad catalog header"),
+        # int() reads each of these as the d_l = 4 (6,2) header
+        *((f"\n{bad}\n{row}\n", "line 2: bad catalog header: non-integer token")
+          for bad in ("# \u0664 6 6 2", "# +4 6 6 2", "# 4 6 6 0_2")),
         (f"# 4 6 6 8\n{canonical_form(tail).hex()}\t0\t?\n", "line 2: .* degree below 2"),
         ("# 4 6 6 2\nzz\t5\t6\n", "line 2: bad canonical form"),
         ("# 4 6 6 2\n06\t1\t?\n", "line 2: bad canonical form"),
