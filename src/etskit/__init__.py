@@ -5,7 +5,6 @@ from etskit.canon import CanonicalForm, canonical_form
 from etskit.kernel import backend as kernel_backend
 from etskit.lss import (
     ExpansionFrontier,
-    classify_lss,
     enumerate_tanner_cycles,
     expand_to_k,
     label_catalog,
@@ -38,7 +37,6 @@ __all__ = [
     "canonical_form",
     "class_feasible",
     "classify",
-    "classify_lss",
     "coverage_query",
     "enumerate_tanner_cycles",
     "expand_to_k",

@@ -1,8 +1,9 @@
 """Canonical labeling of normal graphs.
 
-``canonical_form`` is the workhorse used for isomorphism rejection during
-structure generation: two normal graphs are isomorphic iff their forms
-are equal.
+Two normal graphs are isomorphic iff their canonical forms are equal.
+``canonical_masks`` is the kernel entry point on raw bitmasks: structure
+generation calls it, and so does the check of each row of a catalog read
+from disk.  ``canonical_form`` wraps it for a ``NormalGraph``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ class CanonicalForm:
     """Total-ordered byte encoding; equal bytes iff isomorphic graphs."""
 
     data: bytes
-
-    @property
-    def n(self) -> int:
-        return self.data[0]
 
     def hex(self) -> str:
         return self.data.hex()

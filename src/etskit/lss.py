@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 
 from etskit.normal import NormalGraph, check_degree_cap, tanner_adjacency
 from etskit.normal import CycleCensus, from_normal  # noqa: F401  (patched by perfbench/tracing.py)
-from etskit.structgen import CatalogEntry, Catalog
+from etskit.structgen import Catalog
 from etskit.tables import NA, Label
 from etskit.tanner import TannerGraph, check_masks
 from etskit.tanner import cycle_levels, node_adjacency
@@ -163,11 +163,6 @@ def enumerate_tanner_cycles(
     return {length: found[length] for length in sorted(found)}
 
 
-def classify_lss(entry: CatalogEntry) -> Label:
-    """Smallest Tanner cycle length whose cycles expand to the structure."""
-    return lss_label_of(entry.normal_graph(), entry.spec.d_l)
-
-
 def _closure(adj: Sequence[int], s: int) -> int:
     """Node bitmask ``s`` grown by every node with two neighbours in it."""
     grown = True
@@ -181,6 +176,7 @@ def _closure(adj: Sequence[int], s: int) -> int:
 
 
 def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
+    """Smallest Tanner cycle length whose cycles expand to the structure."""
     check_degree_cap(structure, d_l)
     adj = structure.adj_masks
     full = (1 << structure.n) - 1
@@ -204,5 +200,6 @@ def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
 
 def label_catalog(catalog: Catalog) -> Catalog:
     """Catalog with every entry labeled."""
-    labeled = [replace(e, lss=classify_lss(e)) for e in catalog.entries]
-    return Catalog(spec=catalog.spec, entries=labeled, reason=catalog.reason)
+    d_l = catalog.spec.d_l
+    labeled = [replace(e, lss=lss_label_of(e.normal_graph(), d_l)) for e in catalog.entries]
+    return Catalog(spec=catalog.spec, entries=labeled)

@@ -146,12 +146,17 @@ def from_text(text: str) -> NormalGraph:
     nn, m = rows[0][1]
     if len(rows) - 1 != m:
         raise GraphConstraintError(f"expected {m} edge lines, got {len(rows) - 1}")
-    edges = []
+    first_line: dict[tuple[int, int], int] = {}  # NormalGraph drops a repeat
     for lineno, row in rows[1:]:
         if len(row) != 2 or not row[0] < row[1]:
             raise GraphConstraintError(f"line {lineno}: expected an edge 'i j' with i < j")
-        edges.append(tuple(row))
-    return NormalGraph(nn, edges)
+        edge = (row[0], row[1])
+        if edge in first_line:
+            raise GraphConstraintError(
+                f"line {lineno}: duplicate of the edge on line {first_line[edge]}"
+            )
+        first_line[edge] = lineno
+    return NormalGraph(nn, first_line)
 
 
 def to_graph6(n: NormalGraph) -> str:

@@ -66,7 +66,7 @@ class SearchReport:
     classes: list[ClassReport]
     frontier: ExpansionFrontier  # the sets found, each with its b
 
-    def to_json_dict(self, sets: bool = False) -> dict:
+    def to_json(self, sets: bool = False) -> str:
         out = {
             "code": self.code,
             "dl": self.d_l,
@@ -82,10 +82,7 @@ class SearchReport:
             layers = self.frontier.by_size.items()
             rows = sorted((a, b, m) for a, layer in layers for m, b in layer.items())
             out["sets"] = [{"a": a, "b": b, "members": list(m)} for a, b, m in rows]
-        return out
-
-    def to_json(self, sets: bool = False) -> str:
-        return json.dumps(self.to_json_dict(sets), sort_keys=True, indent=2) + "\n"
+        return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
     def export_lines(self) -> list[str]:
         """One line per set, by size then members: ``a<TAB>b<TAB>members``."""

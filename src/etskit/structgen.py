@@ -107,7 +107,6 @@ def class_feasible(spec: ClassSpec) -> Optional[str]:
 @dataclass(frozen=True)
 class CatalogEntry:
     form: CanonicalForm
-    spec: ClassSpec
     absorbing: bool
     lss: Optional[Label] = None  # None = not yet classified
 
@@ -119,7 +118,6 @@ class CatalogEntry:
 class Catalog:
     spec: ClassSpec
     entries: list[CatalogEntry] = field(default_factory=list)
-    reason: Optional[str] = None  # set when the class is infeasible outright
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -299,17 +297,12 @@ def generate_forms(
 
 def generate_structures(spec: ClassSpec) -> Catalog:
     """Catalog of all non-isomorphic structures of the class, unlabeled."""
-    reason = class_feasible(spec)
-    if reason is not None:
-        return Catalog(spec=spec, entries=[], reason=reason)
+    if class_feasible(spec) is not None:
+        return Catalog(spec=spec)
     min_girth = 3 if spec.g == 6 else 4
     forms = generate_forms(spec.a, spec.num_edges, spec.d_l, min_girth)
     entries = [
-        CatalogEntry(
-            form=form,
-            spec=spec,
-            absorbing=_is_absorbing(form.decode().degrees, spec.d_l),
-        )
+        CatalogEntry(form=form, absorbing=_is_absorbing(form.decode().degrees, spec.d_l))
         for form in forms
     ]
     return Catalog(spec=spec, entries=entries)
@@ -365,7 +358,7 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
         raise GraphConstraintError(
             f"absorbing flag {parts[1]} contradicts the degrees of {parts[0]}"
         )
-    return CatalogEntry(form=form, spec=spec, absorbing=absorbing, lss=lss)
+    return CatalogEntry(form=form, absorbing=absorbing, lss=lss)
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -373,11 +366,14 @@ def parse_catalog(text: str) -> Catalog:
     a structure of the header's class, once, with the absorbing flag its
     degrees give; a row error names the row's 1-based line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("#"):
-        raise GraphConstraintError("catalog must start with '# dl g a b' header")
-    head = lines[0][1][1:].split()
+    header_no, header = lines[0] if lines else (1, "")  # empty text: no header on line 1
+    if not header.startswith("#"):
+        raise GraphConstraintError(
+            f"line {header_no}: catalog must start with '# dl g a b' header"
+        )
+    head = header[1:].split()
     if len(head) != 4:
-        raise GraphConstraintError("catalog header must be '# dl g a b'")
+        raise GraphConstraintError(f"line {header_no}: catalog header must be '# dl g a b'")
     try:
         # ASCII digits only, as errors.int_lines reads numbers: int() would
         # also take a sign, an underscore or a non-ASCII digit
@@ -386,7 +382,7 @@ def parse_catalog(text: str) -> Catalog:
             raise ValueError(f"non-integer token in {head!r}")
         spec = ClassSpec(*(int(x) for x in head))
     except ValueError as exc:
-        raise GraphConstraintError(f"line {lines[0][0]}: bad catalog header: {exc}") from exc
+        raise GraphConstraintError(f"line {header_no}: bad catalog header: {exc}") from exc
     entries = []
     first_line: dict[bytes, int] = {}
     for lineno, ln in lines[1:]:

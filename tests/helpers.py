@@ -212,9 +212,9 @@ def tanner_lss_label(structure: NormalGraph, d_l: int):
     return NA
 
 
-def annotate_absorbing(entry: CatalogEntry) -> CatalogEntry:
+def annotate_absorbing(entry: CatalogEntry, d_l: int) -> CatalogEntry:
     degs = entry.normal_graph().degrees
-    return replace(entry, absorbing=_is_absorbing(degs, entry.spec.d_l))
+    return replace(entry, absorbing=_is_absorbing(degs, d_l))
 
 
 def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:

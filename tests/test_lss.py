@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from etskit.lss import classify_lss, enumerate_tanner_cycles, expand_to_k, lss_label_of
+from etskit.lss import enumerate_tanner_cycles, expand_to_k, lss_label_of
 from etskit.normal import CycleCensus, from_normal
 from etskit.structgen import NA
 from etskit.tanner import TannerGraph, classify
@@ -221,7 +221,7 @@ def test_classify_lss_6_6_catalog(catalogs):
     assert cat.label_histogram() == {6: 8, 8: 3}
     assert cat.label_histogram(absorbing_only=True) == {8: 2}
     for entry in cat.entries:
-        assert classify_lss(entry) == entry.lss
+        assert lss_label_of(entry.normal_graph(), 4) == entry.lss
 
 
 def test_classify_lss_na_cases(catalogs):

@@ -199,7 +199,8 @@ def test_report_set_orders(ets62_normal):
     report = find_etss(g, k=6, max_len=6)
     size4 = [(4, 6, [0, 2, 3, 5]), (4, 6, [0, 2, 4, 5]), (4, 6, [1, 2, 3, 4]),
              (4, 6, [1, 3, 4, 5])]
-    sets = [(s["a"], s["b"], s["members"]) for s in report.to_json_dict(sets=True)["sets"]]
+    data = json.loads(report.to_json(sets=True))
+    sets = [(s["a"], s["b"], s["members"]) for s in data["sets"]]
     assert [s for s in sets if s[0] == 4] == [(4, 4, [2, 3, 4, 5])] + size4
     lines = [ln for ln in report.export_lines() if ln.startswith("4\t")]
     assert lines == [f"4\t6\t{','.join(map(str, m))}" for _, _, m in size4] + [

@@ -115,8 +115,9 @@ def test_spec_validation():
 
 
 def test_infeasible_class_yields_reasoned_empty_catalog():
-    cat = generate_structures(ClassSpec(3, 6, 7, 2))
-    assert len(cat) == 0 and "parity" in cat.reason
+    spec = ClassSpec(3, 6, 7, 2)
+    cat = generate_structures(spec)
+    assert len(cat) == 0 and "parity" in class_feasible(spec)
 
 
 @pytest.mark.parametrize(
@@ -201,12 +202,12 @@ def test_a10_scope_works(catalogs):
 
 def test_annotate_absorbing(catalogs):
     for entry in catalogs(4, 6, 6, 6).entries:
-        redone = annotate_absorbing(entry)
+        redone = annotate_absorbing(entry, 4)
         assert redone.absorbing == entry.absorbing
         degs = entry.normal_graph().degrees
         assert entry.absorbing == (min(degs) * 2 > 4)
     for entry in catalogs(3, 6, 6, 4).entries:
-        assert annotate_absorbing(entry).absorbing  # d_l = 3: always
+        assert annotate_absorbing(entry, 3).absorbing  # d_l = 3: always
 
 
 def test_dense_and_sparse_paths_agree():
@@ -297,6 +298,8 @@ def test_catalog_file_rejects_garbage():
                            (3, 4), (4, 5)])
     cases = [
         ("no header\n", "header"),
+        ("x\n# 4 6 6 2\n", "line 1: catalog must start with '# dl g a b' header"),
+        ("\n\n# 4 6 6\n", "line 3: catalog header must be '# dl g a b'"),
         ("# 4 6 x 2\n", "line 1: bad catalog header"),
         ("\n# 4 6 11 2\n", "line 2: bad catalog header"),
         # int() reads each of these as the d_l = 4 (6,2) header
