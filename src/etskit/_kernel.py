@@ -20,12 +20,13 @@ strictly smaller.
 
 These rules fix ``perm`` as well as ``form``, and ``structgen`` reads
 ``perm`` to pick the deletion edge of orderly generation, so they are
-the contract of both kernels.  ``src/etskit/_ckernel.pyx`` is a typed
-transliteration of the earlier form of this algorithm, which rebuilt
-every cell mask and every vertex key on each pass; updating masks only
-for split cells, keying only vertices of non-singleton cells and
-stopping at the discrete partition leave the result unchanged.  The two
-kernels must return equal ``(form, perm)`` for every graph:
+the contract of both kernels.  ``src/etskit/_ckernel.c``, written by hand
+against the CPython API, applies them on fixed arrays: each pass
+rebuilds every cell mask and keys every vertex, and each cell is sorted
+by key with a stable insertion sort.  Updating masks only for split
+cells, keying only vertices of non-singleton cells and stopping at the
+discrete partition, as this module does, leave the result unchanged.
+The two kernels must return equal ``(form, perm)`` for every graph:
 ``tests/test_kernel_parity.py`` and ``tests/test_canon.py`` compare them
 and pin the pure kernel's output.
 """

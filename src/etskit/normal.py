@@ -139,13 +139,14 @@ def to_text(n: NormalGraph) -> str:
 
 
 def from_text(text: str) -> NormalGraph:
-    """Inverse of ``to_text``; a bad token or edge line is named by its line."""
+    """Inverse of ``to_text``; a bad header, token or edge line is named by its line."""
     rows = list(int_lines(text, lambda line, msg: GraphConstraintError(f"line {line}: {msg}")))
-    if not rows or len(rows[0][1]) != 2:
-        raise GraphConstraintError("expected 'n m' header")
-    nn, m = rows[0][1]
+    header_no, header = rows[0] if rows else (1, [])  # empty text: no header on line 1
+    if len(header) != 2:
+        raise GraphConstraintError(f"line {header_no}: expected 'n m' header")
+    nn, m = header
     if len(rows) - 1 != m:
-        raise GraphConstraintError(f"expected {m} edge lines, got {len(rows) - 1}")
+        raise GraphConstraintError(f"line {header_no}: expected {m} edge lines, got {len(rows) - 1}")
     first_line: dict[tuple[int, int], int] = {}  # NormalGraph drops a repeat
     for lineno, row in rows[1:]:
         if len(row) != 2 or not row[0] < row[1]:

@@ -3,9 +3,13 @@
 import hashlib
 import importlib
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -87,14 +91,96 @@ def test_pure_kernel_pinned_form_and_perm():
     assert digest == PINNED_SHA256
 
 
-def test_compiled_kernel_matches_pure_exhaustively():
+def compiled_kernel():
     try:
         from etskit import _ckernel
     except ImportError:
         pytest.skip("compiled kernel not built")
-    for n in range(1, 6):
+    return _ckernel
+
+
+def test_compiled_kernel_matches_pure_exhaustively():
+    ckernel = compiled_kernel()
+    for n in range(1, 7):
         for adj in all_graphs(n):
-            assert _kernel.canonical_bits(n, adj) == _ckernel.canonical_bits(n, adj)
+            assert _kernel.canonical_bits(n, adj) == ckernel.canonical_bits(n, adj)
+
+
+def random_graphs(seed, count, sizes):
+    """Seeded graphs on ``sizes`` nodes: random ones at four edge densities,
+    and every fourth a relabelled circulant with random jumps (regular, so
+    refinement stalls and the search branches)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice(sizes)
+        adj = [0] * n
+        if k % 4 == 3:
+            relabel = list(range(n))
+            rng.shuffle(relabel)
+            for jump in rng.sample(range(1, n // 2 + 1), rng.randrange(1, 4)):
+                for i in range(n):
+                    for j in (i + jump) % n, (i - jump) % n:
+                        adj[relabel[i]] |= 1 << relabel[j]
+        else:
+            density = rng.choice((0.15, 0.35, 0.6, 0.85))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+        yield n, adj
+
+
+def test_compiled_kernel_matches_pure_on_random_graphs():
+    ckernel = compiled_kernel()
+    for n, adj in random_graphs(31415, 800, range(7, 17)):
+        assert _kernel.canonical_bits(n, adj) == ckernel.canonical_bits(n, adj), (n, adj)
+
+
+# calls that both kernels must refuse, with the exception each raises
+BAD_CALLS = [
+    (2, [1], IndexError),  # adj shorter than n
+    (-1, [], ValueError),  # negative node count
+    (2, [3.0, 0], TypeError),  # a mask that is not an int
+    (17, [0] * 17, ValueError),  # over NODE_CAP
+]
+
+# runs in a child process, so that a kernel that crashes on a bad call
+# fails the test by name instead of killing pytest
+RAISED_PROBE = """
+import json, sys
+from etskit import _ckernel
+for n, adj in json.loads(sys.argv[1]):
+    try:
+        _ckernel.canonical_bits(n, adj)
+        print("None", flush=True)
+    except Exception as exc:
+        print(type(exc).__name__, flush=True)
+"""
+
+
+def test_kernels_refuse_bad_calls_alike():
+    compiled_kernel()  # skips unless the extension is built
+    for n, adj, exc in BAD_CALLS:
+        with pytest.raises(exc):
+            _kernel.canonical_bits(n, adj)
+    calls = [(n, adj) for n, adj, _ in BAD_CALLS]
+    env = dict(os.environ, PYTHONPATH=str(Path(_kernel.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", RAISED_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    got = proc.stdout.split()
+    assert proc.returncode == 0, (
+        f"compiled kernel exited with {proc.returncode} on {calls[len(got)]}: {proc.stderr}"
+    )
+    assert got == [exc.__name__ for _, _, exc in BAD_CALLS]
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 32])
+def test_compiled_kernel_refuses_masks_outside_32_bits(mask):
+    with pytest.raises(OverflowError):
+        compiled_kernel().canonical_bits(2, [mask, 0])
 
 
 def test_active_backend_reports():

@@ -189,6 +189,9 @@ def test_text_round_trip(prism):
         ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'i j' with i < j"),
         # NormalGraph would drop the repeat and to_text would write "3 2"
         ("3 3\n0 1\n0 1\n1 2\n", "line 3: duplicate of the edge on line 2"),
+        ("\n\n3\n", "line 3: expected 'n m' header"),
+        ("", "line 1: expected 'n m' header"),
+        ("3 2\n0 1\n", "line 1: expected 2 edge lines, got 1"),
     ],
 )
 def test_text_errors_name_their_line(text, message):
