@@ -1,10 +1,10 @@
 /* Compiled canonical-labeling kernel, the fast twin of _kernel.py, whose
- * docstring states the contract.  Same rules, so the same (form, perm) for
- * every graph: refinement in full simultaneous passes (every vertex keyed
- * by its neighbour counts in every cell; each cell stably sorted by key,
- * split wherever the key changes), branching on the first non-singleton
- * cell (once when its members are interchangeable), and a leaf that
- * replaces the best only when its bitmap is strictly smaller.
+ * docstring states the contract.  Same rules, so the same form for every
+ * graph: refinement in full simultaneous passes (every vertex keyed by its
+ * neighbour counts in every cell; each cell stably sorted by key, split
+ * wherever the key changes), branching on the first non-singleton cell
+ * (once when its members are interchangeable), and the smallest bitmap of
+ * the leaves as the form.
  * tests/test_kernel_parity.py compares the two kernels.
  */
 #define PY_SSIZE_T_CLEAN
@@ -30,12 +30,10 @@ typedef struct {
     int nbytes; /* length of the form: one length byte, then the bitmap */
     unsigned int adj[NODE_CAP];
     unsigned char best[1 + (NODE_CAP * (NODE_CAP - 1) / 2 + 7) / 8]; /* the form */
-    int best_perm[NODE_CAP];
 } State;
 
 /* Encode the discrete partition verts as n, then the row-major
- * upper-triangle bitmap, and keep it if it is strictly smaller than the
- * best. */
+ * upper-triangle bitmap, and keep it if it is smaller than the best. */
 static void leaf(State *st, const int *verts)
 {
     unsigned char buf[sizeof st->best] = {(unsigned char)st->n};
@@ -46,10 +44,8 @@ static void leaf(State *st, const int *verts)
             if ((ai >> verts[j]) & 1)
                 buf[k >> 3] |= 1 << (7 - (k & 7));
     }
-    if (memcmp(buf, st->best, st->nbytes) >= 0)
-        return;
-    memcpy(st->best, buf, st->nbytes);
-    memcpy(st->best_perm, verts, st->n * sizeof *verts);
+    if (memcmp(buf, st->best, st->nbytes) < 0)
+        memcpy(st->best, buf, st->nbytes);
 }
 
 /* Signatures are compared on their first ncells entries. */
@@ -168,7 +164,7 @@ static void search(State *st, int *verts, unsigned char *cell_end)
 static PyObject *canonical_bits(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
-    PyObject *nobj, *adj, *perm;
+    PyObject *nobj, *adj;
     State st;
     int verts[NODE_CAP], overflow, i;
     unsigned char cell_end[NODE_CAP] = {0};
@@ -184,7 +180,7 @@ static PyObject *canonical_bits(PyObject *self, PyObject *args, PyObject *kwargs
     if (overflow < 0 || n < 0)
         return PyErr_Format(PyExc_ValueError, "node count %S is negative", nobj);
     if (n == 0)
-        return Py_BuildValue("(y#())", "\0", (Py_ssize_t)1);
+        return PyBytes_FromStringAndSize("\0", 1);
     st.n = (int)n;
     st.nbytes = 1 + (st.n * (st.n - 1) / 2 + 7) / 8;
     memset(st.best, 0xff, sizeof st.best); /* above every form: the first leaf replaces it */
@@ -209,22 +205,12 @@ static PyObject *canonical_bits(PyObject *self, PyObject *args, PyObject *kwargs
     }
     cell_end[st.n - 1] = 1;
     search(&st, verts, cell_end);
-    perm = PyTuple_New(st.n);
-    for (i = 0; perm != NULL && i < st.n; i++) {
-        PyObject *v = PyLong_FromLong(st.best_perm[i]);
-        if (v == NULL)
-            Py_CLEAR(perm);
-        else
-            PyTuple_SET_ITEM(perm, i, v);
-    }
-    if (perm == NULL)
-        return NULL;
-    return Py_BuildValue("(y#N)", (const char *)st.best, (Py_ssize_t)st.nbytes, perm);
+    return PyBytes_FromStringAndSize((const char *)st.best, st.nbytes);
 }
 
 static PyMethodDef methods[] = {
     {"canonical_bits", (PyCFunction)(void (*)(void))canonical_bits, METH_VARARGS | METH_KEYWORDS,
-     "canonical_bits(n, adj) -> (form, perm); see the pure kernel for the contract."},
+     "canonical_bits(n, adj) -> form; see the pure kernel for the contract."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,20 +15,17 @@ or every cell is a singleton.  The search then branches on the first
 non-singleton cell, individualizing its members in cell order; a cell
 whose members are mutually interchangeable (equal outside neighborhoods,
 cell internally empty, complete, a perfect matching or its complement)
-branches only once.  A leaf replaces the best one only if its bitmap is
-strictly smaller.
+branches only once.  The form is the smallest bitmap of the leaves.
 
-These rules fix ``perm`` as well as ``form``, and ``structgen`` reads
-``perm`` to pick the deletion edge of orderly generation, so they are
-the contract of both kernels.  ``src/etskit/_ckernel.c``, written by hand
-against the CPython API, applies them on fixed arrays: each pass
-rebuilds every cell mask and keys every vertex, and each cell is sorted
-by key with a stable insertion sort.  Updating masks only for split
-cells, keying only vertices of non-singleton cells and stopping at the
-discrete partition, as this module does, leave the result unchanged.
-The two kernels must return equal ``(form, perm)`` for every graph:
-``tests/test_kernel_parity.py`` and ``tests/test_canon.py`` compare them
-and pin the pure kernel's output.
+These rules fix the form, so they are the contract of both kernels.
+``src/etskit/_ckernel.c``, written by hand against the CPython API,
+applies them on fixed arrays: each pass rebuilds every cell mask and keys
+every vertex, and each cell is sorted by key with a stable insertion sort.
+Updating masks only for split cells, keying only vertices of
+non-singleton cells and stopping at the discrete partition, as this
+module does, leave the result unchanged.  The two kernels must return the
+same form for every graph: ``tests/test_kernel_parity.py`` and
+``tests/test_canon.py`` compare them and pin the pure kernel's output.
 """
 
 from __future__ import annotations
@@ -83,27 +80,22 @@ def _bitmap(n, adj, order):
 
 
 def canonical_bits(n, adj):
-    """Return ``(form, perm)`` for the graph on ``n`` nodes given as bitmasks.
-
-    ``form`` is the canonical byte encoding; ``perm[i]`` is the original
-    vertex placed at canonical position ``i``.
-    """
+    """Return the canonical byte encoding of the graph on ``n`` nodes given
+    as bitmasks."""
     if n > NODE_CAP:
         raise ValueError(f"node count {n} exceeds kernel cap {NODE_CAP}")
     if n == 0:
-        return b"\x00", ()
+        return b"\x00"
     best = None
-    best_perm = None
 
     def rec(cells, masks):
-        nonlocal best, best_perm
+        nonlocal best
         cells, masks = _refine(n, adj, cells, masks)
         if len(cells) == n:
             order = [cell[0] for cell in cells]
             bm = _bitmap(n, adj, order)
             if best is None or bm < best:
                 best = bm
-                best_perm = tuple(order)
             return
         target = 0
         while len(cells[target]) == 1:
@@ -131,4 +123,4 @@ def canonical_bits(n, adj):
             )
 
     rec([list(range(n))], [(1 << n) - 1])
-    return bytes([n]) + best, best_perm
+    return bytes([n]) + best

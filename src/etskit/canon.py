@@ -14,6 +14,8 @@ from etskit import kernel
 from etskit.errors import NodeCapError
 from etskit.normal import NormalGraph
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
@@ -26,6 +28,10 @@ class CanonicalForm:
 
     @classmethod
     def from_hex(cls, text: str) -> "CanonicalForm":
+        # only the text hex() writes: bytes.fromhex also takes upper case
+        # and spaces, which would give one form two spellings
+        if len(text) % 2 or not set(text) <= _HEX_DIGITS:
+            raise ValueError(f"{text!r} is not lowercase hex")
         data = bytes.fromhex(text)
         if not data or len(data) != 1 + (data[0] * (data[0] - 1) // 2 + 7) // 8:
             raise ValueError(f"{text!r} is not one node-count byte and its bitmap")
@@ -45,13 +51,12 @@ class CanonicalForm:
         return NormalGraph(n, edges)
 
 
-def canonical_masks(n: int, adj_masks) -> tuple[bytes, tuple[int, ...]]:
-    """Kernel entry point on raw bitmasks; returns (form bytes, labeling)."""
+def canonical_masks(n: int, adj_masks) -> bytes:
+    """Kernel entry point on raw bitmasks; returns the form bytes."""
     if n > kernel.NODE_CAP:
         raise NodeCapError(f"{n} nodes exceeds the {kernel.NODE_CAP}-node cap")
     return kernel.canonical_bits(n, adj_masks)
 
 
 def canonical_form(n: NormalGraph) -> CanonicalForm:
-    form, _ = canonical_masks(n.n, n.adj_masks)
-    return CanonicalForm(form)
+    return CanonicalForm(canonical_masks(n.n, n.adj_masks))

@@ -201,6 +201,9 @@ def from_graph6(text: str) -> NormalGraph:
         if val < 0 or val > 63:
             raise GraphConstraintError(f"invalid graph6 character {ch!r}")
         bits += [(val >> k) & 1 for k in range(5, -1, -1)]
+    if any(bits[nn * (nn - 1) // 2:]):
+        # so that each accepted string is the one to_graph6 writes
+        raise GraphConstraintError("graph6 padding bits must be zero")
     edges = []
     idx = 0
     for j in range(1, nn):

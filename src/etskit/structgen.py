@@ -6,9 +6,9 @@ node degrees in ``[2, d_l]``; a girth-8 class additionally requires the
 graph to be triangle-free (Tanner cycle lengths are twice normal ones).
 
 Generation is orderly and is one depth-first pass from the empty graph:
-edge sets grow one edge at a time and a grown graph survives only if the
-edge it marks for deletion leads back to the parent it actually grew from,
-so each isomorphism class is produced exactly once.
+edge sets grow one edge at a time, and a grown graph survives only if its
+added edge has the largest key and no earlier production of the same
+child was kept, so each isomorphism class is produced exactly once.
 Degree caps, girth and a deficit bound prune during growth; connectivity
 is the final filter (it is not closed under edge deletion).  With k of m
 edges placed and final minimum degree f, the deficit sums f - d over the
@@ -22,26 +22,29 @@ once up front: a sparse class meets it, and a dense class's complement
 (C(a,2) - m edges, cap a - 3) meets it exactly when m >= a.  With no edge
 to place it also forces f = 0.
 
-The deletion edge is chosen invariant-first (McKay's canonical construction
-paths).  Each edge (x, y) gets the cheap key (larger endpoint degree,
-smaller endpoint degree, triangles through the edge), and the deletion edge
-is the edge last in canonical position among the edges of largest key.  A
-child whose added edge is not of largest key is rejected before any
-canonical labelling.  This is exact:
+The parent of a child is chosen invariant-first (McKay's canonical
+construction paths).  Each edge (x, y) gets the cheap key (larger endpoint
+degree, smaller endpoint degree, triangles through the edge), and a child
+is grown only by an edge of largest key; any other child is rejected
+before canonical labelling.  Its tie count, the number of edges of that
+largest key, decides how its duplicates are caught.  This is exact:
 
-- The key is an isomorphism invariant of (graph, edge), and the canonical
-  labelling is one too, so the deletion edge is fixed up to automorphism
-  and ``child - deletion edge`` is one isomorphism class, its parent.
-- ``G - e`` and ``G - e'`` isomorphic implies ``key(e) == key(e')``: the
-  degree multiset of ``G - e`` fixes the endpoint degrees of ``e``, and
-  ``G - e`` has exactly the triangles of ``G`` not through ``e``.  So a
-  child whose added edge has a smaller key is not isomorphic to its
-  parent plus the deletion edge, and rejecting it early loses nothing.
 - Deleting any edge of a valid node gives a valid node: degree caps, girth
-  and the deficit bound are all closed under edge deletion.  So every
-  class's parent is itself generated, and the class is accepted from that
-  one parent class, once (``seen`` merges the extensions of one parent
-  that give the same child).
+  and the deficit bound are all closed under edge deletion.  So for a
+  valid class C and any top-key edge e of C, the class C - e is generated,
+  and adding e back passes every test: C is produced at least once.
+- The key is an isomorphism invariant of (graph, edge), so the tie count is
+  one of the graph, and every production of C has the same tie count.
+- Tie count 1: the added edge is C's only top-key edge e, so every
+  production of C adds the image of e under an isomorphism, and its
+  parent is isomorphic to C - e.  By induction on the edge count that
+  parent class is produced once, so only its own extensions can repeat C,
+  and ``seen`` merges the extensions of one parent that give the same
+  child.
+- Tie count above 1: the child's form goes into ``tied``, and a later
+  child whose form is already there is dropped.  Only tied children are
+  remembered, which keeps the set small (a form fixes its edge count, so
+  one set serves every depth).
 
 Dense classes (more than half of all possible edges) are generated through
 their complements: the degree window mirrors, the complement is grown the
@@ -160,9 +163,9 @@ def _creates_c4(adj, u: int, v: int) -> bool:
     return False
 
 
-def _top_edges(adj, degs, u: int, v: int):
-    """Edges whose key equals that of the added edge ``(u, v)``, as
-    ``(x, y)`` with ``x < y``; ``None`` when some edge has a larger key.
+def _tie_count(adj, degs, u: int, v: int) -> int:
+    """Number of edges whose key equals that of the added edge ``(u, v)``,
+    or 0 when some edge has a larger key.
 
     The key of an edge is (larger endpoint degree, smaller endpoint degree,
     triangles through it).  The caller has checked that no node's degree
@@ -172,7 +175,7 @@ def _top_edges(adj, degs, u: int, v: int):
     hi = du if du > dv else dv
     lo = du + dv - hi
     tri = (adj[u] & adj[v]).bit_count()
-    top = []
+    ties = 0
     for x, dx in enumerate(degs):
         if dx != hi:
             continue
@@ -185,31 +188,23 @@ def _top_edges(adj, degs, u: int, v: int):
             if dy < lo or (dy == hi and y < x):
                 continue  # a smaller key, or an edge already seen from y
             if dy > lo:
-                return None
+                return 0
             t = (ax & adj[y]).bit_count()
             if t > tri:
-                return None
+                return 0
             if t == tri:
-                top.append((x, y) if x < y else (y, x))
-    return top
-
-
-def _deletion_edge(perm, top) -> tuple[int, int]:
-    """Edge of ``top`` whose canonical position is last in the bitmap."""
-    pos = [0] * len(perm)
-    for i, x in enumerate(perm):
-        pos[x] = i
-    # row-major upper triangle: the later row wins, then the later column
-    return max(top, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
+                ties += 1
+    return ties
 
 
 def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
     """Orderly generation, depth first from the empty graph on ``a`` nodes:
     yields ``(adj, form)`` for each accepted graph of ``m`` edges whose
     degrees are at most ``max_deg`` and whose normal girth is at least
-    ``min_girth``.  The deficit bound leaves no degree below ``f``."""
-    root = [0] * a
-    stack = [(root, 0, canonical_masks(a, root)[0])]
+    ``min_girth``; ``form`` is ``None`` when ``m`` is 0.  The deficit bound
+    leaves no degree below ``f``."""
+    tied = set()  # forms of the children with tie count above 1
+    stack = [([0] * a, 0, None)]
     while stack:
         adj, k, form = stack.pop()
         if k == m:
@@ -241,23 +236,13 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
                 adj[v] |= 1 << u
                 degs[u] += 1
                 degs[v] += 1
-                top = _top_edges(adj, degs, u, v)
-                if top is not None:
-                    child_form, perm = canonical_masks(a, adj)
-                    if child_form not in seen:
-                        seen.add(child_form)
-                        fu, fv = _deletion_edge(perm, top) if len(top) > 1 else (u, v)
-                        if (fu, fv) == (u, v):
-                            ok = True
-                        else:
-                            adj[fu] &= ~(1 << fv)
-                            adj[fv] &= ~(1 << fu)
-                            parent_form, _ = canonical_masks(a, adj)
-                            adj[fu] |= 1 << fv
-                            adj[fv] |= 1 << fu
-                            ok = parent_form == form
-                        if ok:
-                            stack.append((list(adj), k + 1, child_form))
+                ties = _tie_count(adj, degs, u, v)
+                if ties:
+                    child_form = canonical_masks(a, adj)
+                    known = seen if ties == 1 else tied
+                    if child_form not in known:
+                        known.add(child_form)
+                        stack.append((list(adj), k + 1, child_form))
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 degs[u] -= 1
@@ -287,7 +272,7 @@ def generate_forms(
         for adj, _ in _grow(a, total_pairs - m, a - 3, 3, max(0, a - 1 - max_deg)):
             orig = [full & ~x & ~(1 << v) for v, x in enumerate(adj)]
             if mask_connected(orig, full):
-                forms.append(canonical_masks(a, orig)[0])
+                forms.append(canonical_masks(a, orig))
     else:
         forms = [form for adj, form in _grow(a, m, max_deg, min_normal_girth, 2)
                  if mask_connected(adj, full)]
@@ -342,7 +327,7 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
         raise GraphConstraintError(
             f"entry {parts[0]} does not match class (a={spec.a}, b={spec.b})"
         )
-    if canonical_masks(graph.n, graph.adj_masks)[0] != form.data:
+    if canonical_masks(graph.n, graph.adj_masks) != form.data:
         raise GraphConstraintError(f"{parts[0]} is not the canonical form of its graph")
     # a node above d_l would also make the absorbing flag look wrong
     check_degree_cap(graph, spec.d_l)

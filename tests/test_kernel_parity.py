@@ -30,7 +30,7 @@ def all_graphs(n):
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
 def test_pure_kernel_class_counts(n, count):
-    forms = {_kernel.canonical_bits(n, adj)[0] for adj in all_graphs(n)}
+    forms = {_kernel.canonical_bits(n, adj) for adj in all_graphs(n)}
     assert len(forms) == count
 
 
@@ -44,8 +44,7 @@ def test_pure_kernel_invariance():
                 if rng.random() < rng.choice((0.2, 0.5, 0.8)):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        form, perm = _kernel.canonical_bits(n, adj)
-        assert sorted(perm) == list(range(n))
+        form = _kernel.canonical_bits(n, adj)
         relabel = list(range(n))
         rng.shuffle(relabel)
         adj2 = [0] * n
@@ -53,7 +52,7 @@ def test_pure_kernel_invariance():
             for j in range(n):
                 if adj[i] >> j & 1:
                     adj2[relabel[i]] |= 1 << relabel[j]
-        assert _kernel.canonical_bits(n, adj2)[0] == form
+        assert _kernel.canonical_bits(n, adj2) == form
 
 
 def pinned_graphs():
@@ -80,12 +79,12 @@ def pinned_graphs():
             yield n, adj
 
 
-# sha256 of the pure kernel's (form, perm) list over pinned_graphs(),
-# recorded from the kernel that rebuilt every cell mask on each pass
-PINNED_SHA256 = "1de379a61b7ca9c6a0b1074c3df55793ecc857818db53398210dd4a20f3b78cc"
+# sha256 of the pure kernel's list of forms over pinned_graphs(), recorded
+# from the kernel that also returned the canonical labelling
+PINNED_SHA256 = "22d462f258f934809da806e53e304a617b62445f2a8008948cac249d2596b3df"
 
 
-def test_pure_kernel_pinned_form_and_perm():
+def test_pure_kernel_pinned_forms():
     results = [_kernel.canonical_bits(n, adj) for n, adj in pinned_graphs()]
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == PINNED_SHA256
@@ -185,8 +184,8 @@ def test_compiled_kernel_refuses_masks_outside_32_bits(mask):
 
 def test_active_backend_reports():
     assert kernel.backend() in ("c", "pure")
-    form, perm = kernel.canonical_bits(3, [0b110, 0b101, 0b011])
-    assert form == _kernel.canonical_bits(3, [0b110, 0b101, 0b011])[0]
+    form = kernel.canonical_bits(3, [0b110, 0b101, 0b011])
+    assert form == _kernel.canonical_bits(3, [0b110, 0b101, 0b011])
 
 
 def test_compiled_module_without_kernel_names_falls_back_to_pure(monkeypatch):

@@ -206,6 +206,15 @@ def test_graph6_round_trip(prism, k33, ets54_normal):
     assert from_graph6(">>graph6<<" + to_graph6(prism)) == prism
 
 
+def test_graph6_rejects_nonzero_padding():
+    # "EJ~o" is a connected 6-node graph: 15 bits in three 6-bit chars, so
+    # the last char carries 3 padding bits, which must be zero
+    assert to_graph6(from_graph6("EJ~o")) == "EJ~o"
+    for bad in ("EJ~p", "EJ~q", "EJ~t"):
+        with pytest.raises(GraphConstraintError, match="padding"):
+            from_graph6(bad)
+
+
 def test_normal_graph_validation():
     with pytest.raises(GraphConstraintError, match="self-loop"):
         NormalGraph(3, [(0, 0)])
