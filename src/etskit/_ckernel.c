@@ -4,8 +4,8 @@
  * neighbour counts in every cell; each cell stably sorted by key, split
  * wherever the key changes), branching on the first non-singleton cell
  * (once when its members are interchangeable), and the smallest bitmap of
- * the leaves as the form.
- * tests/test_kernel_parity.py compares the two kernels.
+ * the leaves as the form.  It refuses the same calls with the same
+ * exceptions.  tests/test_kernel_parity.py compares the two kernels.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -200,6 +200,10 @@ static PyObject *canonical_bits(PyObject *self, PyObject *args, PyObject *kwargs
             return NULL;
         if (value > UINT_MAX)
             return PyErr_Format(PyExc_OverflowError, "adjacency mask %lu does not fit in 32 bits", value);
+        /* a self bit would make every search branch: n! leaves on K_n */
+        if (value >> st.n || (value >> i) & 1)
+            return PyErr_Format(PyExc_ValueError, "adjacency mask %lu of node %d is not a set of other nodes",
+                                value, i);
         st.adj[i] = (unsigned int)value;
         verts[i] = i;
     }

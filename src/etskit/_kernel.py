@@ -17,7 +17,12 @@ whose members are mutually interchangeable (equal outside neighborhoods,
 cell internally empty, complete, a perfect matching or its complement)
 branches only once.  The form is the smallest bitmap of the leaves.
 
-These rules fix the form, so they are the contract of both kernels.
+These rules fix the form, so they are the contract of both kernels.  So
+are the refusals: a node count above ``NODE_CAP`` or below 0 and a mask
+holding its own node's bit or a bit at or above ``n`` raise
+``ValueError``, a mask below 0 or of 32 bits or more ``OverflowError``,
+a mask that is not an ``int`` ``TypeError``, and an ``adj`` shorter than
+``n`` ``IndexError``.
 ``src/etskit/_ckernel.c``, written by hand against the CPython API,
 applies them on fixed arrays: each pass rebuilds every cell mask and keys
 every vertex, and each cell is sorted by key with a stable insertion sort.
@@ -84,6 +89,16 @@ def canonical_bits(n, adj):
     as bitmasks."""
     if n > NODE_CAP:
         raise ValueError(f"node count {n} exceeds kernel cap {NODE_CAP}")
+    if n < 0:
+        raise ValueError(f"node count {n} is negative")
+    for v in range(n):
+        x = adj[v]
+        if not isinstance(x, int):
+            raise TypeError(f"adjacency mask must be int, not {type(x).__name__}")
+        if x < 0 or x >> 32:
+            raise OverflowError(f"adjacency mask {x} does not fit in 32 bits")
+        if x >> n or x >> v & 1:
+            raise ValueError(f"adjacency mask {x} of node {v} is not a set of other nodes")
     if n == 0:
         return b"\x00"
     best = None

@@ -1,9 +1,10 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
 Set ``ETSKIT_PURE=1`` to force the pure kernel; the ``tier1-pure`` CI job
-does, to run the tests on it.  Nothing else sets it: ``perfbench/run.py``
-measures whichever kernel the checkout has built, and the parity tests
-import both kernels directly.  Both kernels are byte-for-byte
+does, to run the tests on it, and ``benchmarks/trajectory.py`` does for
+its pure-kernel runs.  ``perfbench/run.py`` itself measures whichever
+kernel the checkout has built, and the parity tests import both kernels
+directly.  Both kernels are byte-for-byte
 interchangeable.
 """
 

@@ -46,6 +46,31 @@ largest key, decides how its duplicates are caught.  This is exact:
   remembered, which keeps the set small (a form fixes its edge count, so
   one set serves every depth).
 
+Before any of that, a parent skips the extensions that swapping twins maps
+onto an earlier one (McKay's pruning by the parent's automorphisms, on a
+subgroup that is cheap to find).  Nodes x and y are twins when
+``adj[x] & ~(1 << y) == adj[y] & ~(1 << x)``:
+
+- The relation is an equivalence.  For twins x ~ y and y ~ z, the first
+  gives x-z adjacent iff y-z, the second x-y iff x-z, so the three pairs
+  agree; every other node sees x, y and z alike, so x ~ z.
+- Swapping two twins is an automorphism: it maps an edge (x, w) to (y, w),
+  an edge because w is in N(x) - {y} = N(y) - {x}, and fixes edge (x, y).
+- Under the swaps within classes, the orbit of a pair (u, v), u < v, of two
+  classes holds the pairs of one member of each, and comes first in loop
+  order at their two smallest members; a pair in one class comes first at
+  the class's two smallest members.  So with each node's rank in its class
+  (0 for the smallest), only u of rank 0 and v of rank 1 in u's class or
+  of rank 0 in another are tried.
+- An automorphism s of the parent maps the child grown by (u, v) onto the
+  child grown by (s(u), s(v)), edge to edge.  Degrees, adjacency, the
+  deficit, the girth tests and the tie count are invariants of (graph,
+  edge), so a skipped extension passes each filter exactly when its
+  representative does, with the same tie count.  The representative comes
+  earlier in the same loop, so its form is already in ``seen`` or
+  ``tied`` when the skipped child would be labelled and dropped: the
+  stack, ``tied``, the outputs and their order are unchanged.
+
 Dense classes (more than half of all possible edges) are generated through
 their complements: the degree window mirrors, the complement is grown the
 same way, and results are complemented back before canonical encoding.
@@ -197,6 +222,27 @@ def _tie_count(adj, degs, u: int, v: int) -> int:
     return ties
 
 
+def _twin_classes(adj):
+    """``(first, rank)``: for each node, the smallest node of its twin class
+    and its rank in that class (0 for the smallest).  Nodes x and y are
+    twins when their neighbourhoods agree outside each other: non-adjacent
+    twins have equal neighbourhoods, adjacent ones equal closed
+    neighbourhoods (each with the node itself).  No node's neighbourhood
+    equals another's closed one (z in N(y) would put y in N[z]), and no
+    node has twins of both kinds (a node and two of its twins are pairwise
+    twins, and their three pairs agree on adjacency), so one dict of both
+    finds every class."""
+    first, rank = [], []
+    by_nbhd = {}  # neighbourhood or closed neighbourhood -> first node
+    for y, ay in enumerate(adj):
+        x = by_nbhd.setdefault(ay, y)
+        if x == y:
+            x = by_nbhd.setdefault(ay | 1 << y, y)
+        first.append(x)
+        rank.append(first.count(x) - 1)
+    return first, rank
+
+
 def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
     """Orderly generation, depth first from the empty graph on ``a`` nodes:
     yields ``(adj, form)`` for each accepted graph of ``m`` edges whose
@@ -215,15 +261,19 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
         top_deg = max(degs)
         # endpoints below f the added edge needs for the deficit bound
         need = sum(f - d for d in degs if d < f) - 2 * (m - k - 1)
+        # only the first extension of each orbit under twin swaps is tried
+        first, rank = _twin_classes(adj)
         for u in range(a):
             du = degs[u]
-            if du >= max_deg:
+            if du >= max_deg or rank[u]:
                 continue
             au = adj[u]
             for v in range(u + 1, a):
                 dv = degs[v]
                 if dv >= max_deg or (au >> v) & 1:
                     continue
+                if rank[v] != (first[v] == u):
+                    continue  # a twin swap maps (u, v) onto an earlier sibling
                 if (du < f) + (dv < f) < need:
                     continue
                 if max(du, dv) + 1 < top_deg:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -12,6 +13,7 @@ from etskit.structgen import (
     generate_forms,
     generate_structures,
     parse_catalog,
+    _twin_classes,
 )
 from helpers import annotate_absorbing, labeled_structure_buckets
 
@@ -57,18 +59,49 @@ def test_key_first_deletion_skips_canonical_calls(monkeypatch):
     # children whose added edge does not have the largest (degree pair,
     # triangles) key are rejected before canonical labelling; choosing the
     # deletion edge by canonical position alone took 33,030 calls here.
-    # This also pins the call count of a sparse cell.
+    # This also pins the call count of a sparse cell, whose parents skip
+    # the extensions a twin swap maps onto an earlier sibling.
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(4, 6, 8, 8))) == 250
-    assert calls[0] == 3896
+    assert calls[0] == 3186
 
 
 def test_complemented_cell_canonical_call_count(monkeypatch):
     # d5g6 (8,8) has 16 of 28 edges and grows as its complement; the
-    # constant-time deficit test must prune exactly as the full recount did
+    # constant-time deficit test and the twin-swap skip must prune it
+    # exactly as they prune a sparse cell
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(5, 6, 8, 8))) == 461
-    assert calls[0] == 5456
+    assert calls[0] == 4682
+
+
+def test_twin_classes_match_brute_force():
+    # on every labelled graph with up to 6 nodes: swapping two nodes of one
+    # class is an automorphism, nodes of different classes differ outside
+    # each other, and each node knows its class's smallest member and its
+    # rank among the members
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = {p for k, p in enumerate(pairs) if bits >> k & 1}
+            adj = [0] * n
+            for x, y in edges:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+            first, rank = _twin_classes(adj)
+            for x, y in pairs:
+                if first[x] == first[y]:
+                    swap = {x: y, y: x}
+                    assert {tuple(sorted((swap.get(i, i), swap.get(j, j))))
+                            for i, j in edges} == edges
+                else:
+                    nx = {j for j in range(n) if (min(x, j), max(x, j)) in edges}
+                    ny = {j for j in range(n) if (min(y, j), max(y, j)) in edges}
+                    assert nx - {y} != ny - {x}
+            for x in range(n):
+                members = [y for y in range(n) if first[y] == first[x]]
+                assert first[x] == members[0]
+                assert rank[x] == members.index(x)
 
 
 @pytest.mark.parametrize(
@@ -233,6 +266,12 @@ PINNED_CATALOGS = {
     (5, 6, 8, 8): "d0248da947a303e867fa0f07b13b6eea4695e02eec0410b54f6ebd47a3cd885d",
     (3, 8, 8, 4): "c4f841129d9e455d7988ccc7b5a7de0793cccc8501e7ebf504a80c280217c096",
     (6, 8, 4, 0): "3f7404cecd0f12105256f7611cd9c72ba22b54a5274494ac339e0217d2f82d27",
+    # the other benchmark cells that generate structures, taken before
+    # orderly generation skipped twin-swapped siblings
+    (3, 6, 8, 4): "a4189fe2a47f326c10304e65520040a0226da92962844204f9f0cdc9c5995d04",
+    (4, 8, 8, 8): "405a04e9e28f3e745a0d079c01fc9de3985fba7d1dd1dae86cee831044f837ba",
+    (6, 6, 8, 8): "733fe8480766c36cbf8b466b4cdb40c858342ade52150b6bb46e625aaef0ae45",
+    (6, 6, 8, 10): "e9e93af6ded5b7d5e4d3bf6a81a9cbee40decf8df1b8a69dc5e890bd49cd9fa3",
 }
 
 
