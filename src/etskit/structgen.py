@@ -66,14 +66,41 @@ subgroup that is cheap to find).  Nodes x and y are twins when
   child grown by (s(u), s(v)), edge to edge.  Degrees, adjacency, the
   deficit, the girth tests and the tie count are invariants of (graph,
   edge), so a skipped extension passes each filter exactly when its
-  representative does, with the same tie count.  The representative comes
-  earlier in the same loop, so its form is already in ``seen`` or
-  ``tied`` when the skipped child would be labelled and dropped: the
-  stack, ``tied``, the outputs and their order are unchanged.
+  representative does, with the same tie count.  The representative is
+  tried in the same loop, so the skipped child would only repeat it, and
+  ``seen`` or ``tied`` would drop it: the outputs are unchanged.
 
 Dense classes (more than half of all possible edges) are generated through
 their complements: the degree window mirrors, the complement is grown the
 same way, and results are complemented back before canonical encoding.
+
+A child is labelled only where its form is read: by ``seen``, by
+``tied``, or as an output at depth m.  Two kinds of call are skipped, both
+exactly:
+
+- A tie-1 child below depth m is labelled only when another tie-1 sibling
+  shares its pair key.  A node's key is its degree and its sorted
+  neighbour degrees; the pair key of an added edge (u, v) is the keys of u
+  and v in the parent, as an unordered pair, and the number of common
+  neighbours of u and v.  If the tie-1 siblings grown by e and e' are
+  isomorphic, the isomorphism maps the child's one top-key edge e onto e'
+  (the key is an invariant), so it restricts to an automorphism of the
+  parent that maps e onto e'.  Node keys and common neighbours are
+  invariants, so the pair keys of e and e' are equal.  A child whose pair
+  key no sibling shares therefore repeats no sibling: ``seen`` would keep
+  it and would drop no sibling for it, so it is pushed unlabelled.
+- A dense class labels each leaf once, as the complemented-back graph,
+  and that form serves ``seen``, ``tied`` and the output.  Complementing
+  is a bijection on isomorphism classes, so two leaves have equal forms
+  exactly when their complements do.  The complemented-back graph has
+  more edges than any depth of the complement's growth, and a form fixes
+  its edge count, so it meets no form that ``tied`` holds from a
+  shallower depth.  A complete graph grows from the empty complement,
+  whose root is itself the leaf and is labelled.
+
+The order in which children are pushed changes which production of a
+tied class is kept, but not the set of classes; ``generate_forms`` sorts
+its forms.
 """
 
 from __future__ import annotations
@@ -243,21 +270,52 @@ def _twin_classes(adj):
     return first, rank
 
 
-def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
+def _node_keys(adj, degs):
+    """Each node's degree and sorted neighbour degrees, as one int: hex
+    digit d counts the neighbours of degree d.  The kernel's 16-node cap
+    leaves a node fewer than 16 neighbours, so no count carries into the
+    next digit."""
+    keys = []
+    for ax in adj:
+        key = 0
+        while ax:
+            y = (ax & -ax).bit_length() - 1
+            ax &= ax - 1
+            key += 1 << 4 * degs[y]
+        keys.append(key)
+    return keys
+
+
+def _pair_key(adj, keys, u: int, v: int):
+    """The pair key of edge ``(u, v)`` added to ``adj``: the node keys of
+    its ends as an unordered pair, which their sum and product fix (they
+    are the roots of t^2 - sum*t + product), and the number of common
+    neighbours of its ends."""
+    ku, kv = keys[u], keys[v]
+    return ku + kv, ku * kv, (adj[u] & adj[v]).bit_count()
+
+
+def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool = False):
     """Orderly generation, depth first from the empty graph on ``a`` nodes:
     yields ``(adj, form)`` for each accepted graph of ``m`` edges whose
     degrees are at most ``max_deg`` and whose normal girth is at least
-    ``min_girth``; ``form`` is ``None`` when ``m`` is 0.  The deficit bound
-    leaves no degree below ``f``."""
+    ``min_girth``.  ``adj`` is that graph, or its complement when
+    ``complement`` is set, and ``form`` is the canonical form of ``adj``.
+    The deficit bound leaves no degree below ``f``."""
+    # x ^ flips[v] complements the neighbourhood x of node v
+    flips = [((1 << a) - 1) ^ (1 << v) for v in range(a)] if complement else None
+    if m == 0:  # the root is the one leaf: the empty graph or its complement
+        adj = list(flips) if complement else [0] * a
+        yield adj, canonical_masks(a, adj)
+        return
     tied = set()  # forms of the children with tie count above 1
-    stack = [([0] * a, 0, None)]
+    stack = [([0] * a, 0)]
     while stack:
-        adj, k, form = stack.pop()
-        if k == m:
-            yield adj, form
-            continue
+        adj, k = stack.pop()
+        last = k + 1 == m  # the children are leaves
         degs = [x.bit_count() for x in adj]
         seen = set()  # one parent's extensions that give the same child
+        ones = []  # (u, v, child) for each tie-1 child below depth m
         top_deg = max(degs)
         # endpoints below f the added edge needs for the deficit bound
         need = sum(f - d for d in degs if d < f) - 2 * (m - k - 1)
@@ -287,16 +345,42 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int):
                 degs[u] += 1
                 degs[v] += 1
                 ties = _tie_count(adj, degs, u, v)
-                if ties:
-                    child_form = canonical_masks(a, adj)
+                if ties == 1 and not last:
+                    ones.append((u, v, list(adj)))
+                elif ties:
+                    if last and complement:
+                        child = [x ^ y for x, y in zip(adj, flips)]
+                    else:
+                        child = list(adj)
+                    child_form = canonical_masks(a, child)
                     known = seen if ties == 1 else tied
                     if child_form not in known:
                         known.add(child_form)
-                        stack.append((list(adj), k + 1, child_form))
+                        if last:
+                            yield child, child_form
+                        else:
+                            stack.append((child, k + 1))
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 degs[u] -= 1
                 degs[v] -= 1
+        if len(ones) < 2:
+            stack.extend((child, k + 1) for _, _, child in ones)
+            continue
+        # only tie-1 siblings of one pair key can give the same child
+        keys = _node_keys(adj, degs)
+        groups = {}
+        for u, v, child in ones:
+            groups.setdefault(_pair_key(adj, keys, u, v), []).append(child)
+        for group in groups.values():
+            if len(group) == 1:
+                stack.append((group[0], k + 1))
+                continue
+            for child in group:
+                child_form = canonical_masks(a, child)
+                if child_form not in seen:
+                    seen.add(child_form)
+                    stack.append((child, k + 1))
 
 
 def generate_forms(
@@ -314,18 +398,14 @@ def generate_forms(
         return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
     if 2 * m > a * max_deg:
         return []  # a nodes of degree <= max_deg hold at most a*max_deg/2 edges
-    full = (1 << a) - 1
     total_pairs = a * (a - 1) // 2
     if min_normal_girth == 3 and m > total_pairs // 2:
         # grow the complement, whose degrees lie in [a - 1 - max_deg, a - 3]
-        forms = []
-        for adj, _ in _grow(a, total_pairs - m, a - 3, 3, max(0, a - 1 - max_deg)):
-            orig = [full & ~x & ~(1 << v) for v, x in enumerate(adj)]
-            if mask_connected(orig, full):
-                forms.append(canonical_masks(a, orig))
+        grown = _grow(a, total_pairs - m, a - 3, 3, max(0, a - 1 - max_deg), complement=True)
     else:
-        forms = [form for adj, form in _grow(a, m, max_deg, min_normal_girth, 2)
-                 if mask_connected(adj, full)]
+        grown = _grow(a, m, max_deg, min_normal_girth, 2)
+    full = (1 << a) - 1
+    forms = [form for adj, form in grown if mask_connected(adj, full)]
     forms.sort()
     return [CanonicalForm(f) for f in forms]
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from etskit.canon import CanonicalForm, canonical_form
+from etskit.canon import CanonicalForm, canonical_form, canonical_masks
 from etskit.normal import NormalGraph
 from etskit.structgen import (
     Catalog,
@@ -13,6 +13,8 @@ from etskit.structgen import (
     generate_forms,
     generate_structures,
     parse_catalog,
+    _node_keys,
+    _pair_key,
     _twin_classes,
 )
 from helpers import annotate_absorbing, labeled_structure_buckets
@@ -60,19 +62,42 @@ def test_key_first_deletion_skips_canonical_calls(monkeypatch):
     # triangles) key are rejected before canonical labelling; choosing the
     # deletion edge by canonical position alone took 33,030 calls here.
     # This also pins the call count of a sparse cell, whose parents skip
-    # the extensions a twin swap maps onto an earlier sibling.
+    # the extensions a twin swap maps onto an earlier sibling and label a
+    # tie-1 child below the last depth only when a sibling shares its pair
+    # key (3,186 calls when every child was labelled).
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(4, 6, 8, 8))) == 250
-    assert calls[0] == 3186
+    assert calls[0] == 2560
 
 
 def test_complemented_cell_canonical_call_count(monkeypatch):
     # d5g6 (8,8) has 16 of 28 edges and grows as its complement; the
-    # constant-time deficit test and the twin-swap skip must prune it
-    # exactly as they prune a sparse cell
+    # constant-time deficit test, the twin-swap skip and the pair keys must
+    # prune it exactly as they prune a sparse cell, and each leaf is
+    # labelled once, complemented back (4,682 calls when each leaf was
+    # labelled as the complement and again complemented back)
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(5, 6, 8, 8))) == 461
-    assert calls[0] == 4682
+    assert calls[0] == 3196
+
+
+def test_girth_eight_cell_canonical_call_count(monkeypatch):
+    # d3g8 (8,4) grows triangle-free graphs, the third generation path
+    calls = _count_canonical_calls(monkeypatch)
+    assert len(generate_structures(ClassSpec(3, 8, 8, 4))) == 10
+    assert calls[0] == 381
+
+
+@pytest.mark.parametrize("dl,a", [(3, 4), (4, 5), (5, 6), (6, 7)])
+def test_complete_graph_class_is_labelled(monkeypatch, dl, a):
+    # b = 0 with d_l = a - 1 is K_a, grown as its empty complement: the
+    # root is the one leaf and must still be labelled
+    calls = _count_canonical_calls(monkeypatch)
+    cat = generate_structures(ClassSpec(dl, 6, a, 0))
+    complete = NormalGraph(a, list(itertools.combinations(range(a), 2)))
+    assert [e.form for e in cat.entries] == [canonical_form(complete)]
+    assert cat.entries[0].absorbing
+    assert calls[0] == 1
 
 
 def test_twin_classes_match_brute_force():
@@ -102,6 +127,51 @@ def test_twin_classes_match_brute_force():
                 members = [y for y in range(n) if first[y] == first[x]]
                 assert first[x] == members[0]
                 assert rank[x] == members.index(x)
+
+
+def test_tie_one_twins_share_pair_key():
+    # on every labelled graph with up to 6 nodes: node keys are equal
+    # exactly when degree and sorted neighbour degrees are, and two added
+    # edges that each are the child's one edge of largest (degree pair,
+    # triangles) key and give isomorphic children have equal pair keys
+    checked = 0
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (x, y) in enumerate(pairs):
+                if bits >> k & 1:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+            degs = [x.bit_count() for x in adj]
+            keys = _node_keys(adj, degs)
+            profile = [
+                (degs[x], sorted(degs[y] for y in range(n) if adj[x] >> y & 1))
+                for x in range(n)
+            ]
+            for x, y in pairs:
+                assert (keys[x] == keys[y]) == (profile[x] == profile[y])
+            ones = []
+            for u, v in pairs:
+                if adj[u] >> v & 1:
+                    continue
+                child = list(adj)
+                child[u] |= 1 << v
+                child[v] |= 1 << u
+                cd = [x.bit_count() for x in child]
+                edge_keys = [
+                    (max(cd[x], cd[y]), min(cd[x], cd[y]), (child[x] & child[y]).bit_count())
+                    for x, y in pairs if child[x] >> y & 1
+                ]
+                top = (max(cd[u], cd[v]), min(cd[u], cd[v]), (child[u] & child[v]).bit_count())
+                if max(edge_keys) == top and edge_keys.count(top) == 1:
+                    ones.append((_pair_key(adj, keys, u, v), sorted(cd), child))
+            # siblings of unequal degree sequences are not isomorphic
+            for (k1, d1, c1), (k2, d2, c2) in itertools.combinations(ones, 2):
+                if k1 != k2 and d1 == d2:
+                    assert canonical_masks(n, c1) != canonical_masks(n, c2)
+                    checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize(
