@@ -3,16 +3,20 @@
 Two normal graphs are isomorphic iff their canonical forms are equal.
 ``canonical_masks`` is the kernel entry point on raw bitmasks: structure
 generation calls it, and so does the check of each row of a catalog read
-from disk.  ``canonical_form`` wraps it for a ``NormalGraph``.
+from disk.  ``canonical_form`` wraps it for a ``NormalGraph``.  Catalogs
+read a form's graph as bitmasks, ``CanonicalForm.masks()``; ``decode()``
+builds a ``NormalGraph`` from them for text and graph6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from etskit import kernel
 from etskit.errors import NodeCapError
 from etskit.normal import NormalGraph
+from etskit.tanner import mask_edges
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -37,18 +41,20 @@ class CanonicalForm:
             raise ValueError(f"{text!r} is not one node-count byte and its bitmap")
         return cls(data)
 
-    def decode(self) -> NormalGraph:
-        """The graph of the encoding, on its canonical labels."""
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitmasks of the encoding's graph, on its canonical labels."""
         n = self.data[0]
         bits = self.data[1:]
-        edges = []
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if bits[k >> 3] >> (7 - (k & 7)) & 1:
-                    edges.append((i, j))
-                k += 1
-        return NormalGraph(n, edges)
+        adj = [0] * n
+        for k, (i, j) in enumerate(combinations(range(n), 2)):
+            if bits[k >> 3] >> (7 - (k & 7)) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        return tuple(adj)
+
+    def decode(self) -> NormalGraph:
+        """The graph of the encoding, on its canonical labels."""
+        return NormalGraph(self.data[0], mask_edges(self.masks()))
 
 
 def canonical_masks(n: int, adj_masks) -> bytes:

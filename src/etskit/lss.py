@@ -32,25 +32,26 @@ layered one-node expansion grows one of its length-x cycle node sets into
 the full structure; NA when no cycle length works (such structures are
 invisible to cycle-seeded search by construction).
 
-The label is computed on the normal graph, with no Tanner round trip.  The
-seeds are the cycles of the structure's Tanner graph.  Its degree-1 checks
-lie on no cycle, so those are the cycles of ``normal.tanner_adjacency``,
-the normal graph with every edge subdivided by its check: a normal cycle of
-k nodes is a Tanner cycle of length 2k, and ``cycle_levels`` yields it at
-that length, which is the label it gives.  In the structure's own Tanner
-graph a node v outside a subset S has one degree-2 check per neighbour and
-degree-1 checks otherwise.  The odd checks of S that touch v are exactly
-v's edges into S, and no check of v can be a satisfied check of S, since
-both nodes of a satisfied check lie in S.  So the one-step expansion admits
-v exactly when v has at least two neighbours in S.  That rule is monotone:
-adding nodes to S never disables an admissible node.  Any layered chain
-from a seed therefore stays inside the greedy closure of the seed under the
-rule, and the closure, taken one node at a time, is itself a layered
-chain.  The full structure is reachable from a seed exactly when the seed's
-closure is the full node set.  ``lss_label_of`` runs one ``cycle_levels``
-pass per start node, all of them one length per round, and stops at the
-first seed whose closure is full, so it enumerates no cycle longer than the
-label.
+The label is computed on the normal graph's adjacency bitmasks, as a
+catalog form gives them (``CanonicalForm.masks()``), with no Tanner round
+trip.  The seeds are the cycles of the structure's Tanner graph.  Its
+degree-1 checks lie on no cycle, so those are the cycles of
+``normal.tanner_adjacency``, the normal graph with every edge subdivided by
+its check: a normal cycle of k nodes is a Tanner cycle of length 2k, and
+``cycle_levels`` yields it at that length, which is the label it gives.  In
+the structure's own Tanner graph a node v outside a subset S has one
+degree-2 check per neighbour and degree-1 checks otherwise.  The odd checks
+of S that touch v are exactly v's edges into S, and no check of v can be a
+satisfied check of S, since both nodes of a satisfied check lie in S.  So
+the one-step expansion admits v exactly when v has at least two neighbours
+in S.  That rule is monotone: adding nodes to S never disables an
+admissible node.  Any layered chain from a seed therefore stays inside the
+greedy closure of the seed under the rule, and the closure, taken one node
+at a time, is itself a layered chain.  The full structure is reachable from
+a seed exactly when the seed's closure is the full node set.
+``lss_label_of`` runs one ``cycle_levels`` pass per start node, all of them
+one length per round, and stops at the first seed whose closure is full, so
+it enumerates no cycle longer than the label.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Sequence
 
-from etskit.normal import NormalGraph, check_degree_cap, tanner_adjacency
+from etskit.normal import check_degree_cap, tanner_adjacency
 from etskit.normal import CycleCensus, from_normal  # noqa: F401  (patched by perfbench/tracing.py)
 from etskit.structgen import Catalog
 from etskit.tables import NA, Label
@@ -175,15 +176,14 @@ def _closure(adj: Sequence[int], s: int) -> int:
     return s
 
 
-def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
-    """Smallest Tanner cycle length whose cycles expand to the structure."""
-    check_degree_cap(structure, d_l)
-    adj = structure.adj_masks
-    full = (1 << structure.n) - 1
-    tanner = tanner_adjacency(structure)
-    passes = [
-        cycle_levels(tanner, s, 2 * structure.n, full) for s in range(structure.n)
-    ]
+def lss_label_of(adj: Sequence[int], d_l: int) -> Label:
+    """Smallest Tanner cycle length whose cycles expand to the structure
+    whose normal graph has the neighbour bitmasks ``adj``."""
+    check_degree_cap([x.bit_count() for x in adj], d_l)
+    n = len(adj)
+    full = (1 << n) - 1
+    tanner = tanner_adjacency(adj)
+    passes = [cycle_levels(tanner, s, 2 * n, full) for s in range(n)]
     while passes:  # one round per length, shortest first
         alive = []
         for levels in passes:
@@ -201,5 +201,5 @@ def lss_label_of(structure: NormalGraph, d_l: int) -> Label:
 def label_catalog(catalog: Catalog) -> Catalog:
     """Catalog with every entry labeled."""
     d_l = catalog.spec.d_l
-    labeled = [replace(e, lss=lss_label_of(e.normal_graph(), d_l)) for e in catalog.entries]
+    labeled = [replace(e, lss=lss_label_of(e.form.masks(), d_l)) for e in catalog.entries]
     return Catalog(spec=catalog.spec, entries=labeled)

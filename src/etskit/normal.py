@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from etskit.errors import GraphConstraintError, int_lines
-from etskit.tanner import TannerGraph, cycle_levels, mask_bits, mask_connected
+from etskit.tanner import TannerGraph, cycle_levels, mask_bits, mask_connected, mask_edges
 from etskit.tanner import node_adjacency
 
 
@@ -63,19 +63,19 @@ class NormalGraph:
         return len(self.edges)
 
 
-def check_degree_cap(n: NormalGraph, d_l: int) -> None:
-    """Reject a structure with a node above left degree ``d_l``."""
-    for v, deg in enumerate(n.degrees):
+def check_degree_cap(degrees: Sequence[int], d_l: int) -> None:
+    """Reject a structure with a node degree above left degree ``d_l``."""
+    for v, deg in enumerate(degrees):
         if deg > d_l:
             raise GraphConstraintError(
                 f"node {v} has degree {deg}, above left degree {d_l}"
             )
 
 
-def _edge_checks(n: NormalGraph) -> list[list[int]]:
+def _edge_checks(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Per node, the ids of its edges: its degree-2 checks in Tanner form."""
-    var_adj = [[] for _ in range(n.n)]
-    for e, (i, j) in enumerate(n.edges):
+    var_adj = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(edges):
         var_adj[i].append(e)
         var_adj[j].append(e)
     return var_adj
@@ -87,8 +87,8 @@ def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     Check ids are deterministic: one degree-2 check per edge in sorted edge
     order, then the degree-1 checks in node order, so round trips are exact.
     """
-    check_degree_cap(n, d_l)
-    var_adj = _edge_checks(n)
+    check_degree_cap(n.degrees, d_l)
+    var_adj = _edge_checks(n.n, n.edges)
     next_chk = n.m
     for v in range(n.n):
         for _ in range(d_l - n.degrees[v]):
@@ -97,12 +97,14 @@ def from_normal(n: NormalGraph, d_l: int) -> TannerGraph:
     return TannerGraph.from_var_adj(var_adj, next_chk)
 
 
-def tanner_adjacency(n: NormalGraph) -> list[Sequence[int]]:
-    """``node_adjacency`` of the structure's Tanner graph without its
-    degree-1 checks: node v, then edge ``e`` as the check ``n.n + e``.
+def tanner_adjacency(adj: Sequence[int]) -> list[Sequence[int]]:
+    """``node_adjacency`` of a structure's Tanner graph without its degree-1
+    checks, from the neighbour bitmasks ``adj`` of its normal graph: node v,
+    then edge ``e`` of the sorted edge list as the check ``len(adj) + e``.
     Its cycles are the normal graph's at twice the length, and the smallest
     node of each is a node of the structure."""
-    return node_adjacency(_edge_checks(n), n.edges)
+    edges = mask_edges(adj)
+    return node_adjacency(_edge_checks(len(adj), edges), edges)
 
 
 class CycleCensus:
@@ -110,7 +112,7 @@ class CycleCensus:
 
     def __init__(self, n: NormalGraph, max_normal_len: int | None = None):
         cap = n.n if max_normal_len is None else min(max_normal_len, n.n)
-        adj = tanner_adjacency(n)
+        adj = tanner_adjacency(n.adj_masks)
         full = (1 << n.n) - 1
         counts: dict[int, int] = {}
         sets: dict[int, set[int]] = {}

@@ -74,9 +74,10 @@ Dense classes (more than half of all possible edges) are generated through
 their complements: the degree window mirrors, the complement is grown the
 same way, and results are complemented back before canonical encoding.
 
-A child is labelled only where its form is read: by ``seen``, by
-``tied``, or as an output at depth m.  Two kinds of call are skipped, both
-exactly:
+``_grow`` labels in one place: a graph is pushed with the set of forms it
+must not repeat (its parent's ``seen``, or ``tied``), or with None when its
+form is not read, and is labelled when popped.  Every leaf and every child
+of tie count above 1 is read.  Two kinds of call are skipped, both exactly:
 
 - A tie-1 child below depth m is labelled only when another tie-1 sibling
   shares its pair key.  A node's key is its degree and its sorted
@@ -98,9 +99,9 @@ exactly:
   shallower depth.  A complete graph grows from the empty complement,
   whose root is itself the leaf and is labelled.
 
-The order in which children are pushed changes which production of a
-tied class is kept, but not the set of classes; ``generate_forms`` sorts
-its forms.
+The order in which graphs are popped changes which production of a
+class is kept, but not the set of classes; ``generate_forms`` sorts its
+forms.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ from typing import Optional, Union
 
 from etskit.canon import CanonicalForm, canonical_masks
 from etskit.errors import GraphConstraintError, decode_utf8
-from etskit.normal import NormalGraph, check_degree_cap
+from etskit.normal import check_degree_cap
 from etskit.tables import NA, Label
-from etskit.tanner import mask_connected
+from etskit.tanner import mask_connected, mask_edges
 
 MIN_DL, MAX_DL = 3, 6
 MIN_A, MAX_A = 4, 10
@@ -165,9 +166,6 @@ class CatalogEntry:
     absorbing: bool
     lss: Optional[Label] = None  # None = not yet classified
 
-    def normal_graph(self) -> NormalGraph:
-        return self.form.decode()
-
 
 @dataclass
 class Catalog:
@@ -196,8 +194,8 @@ def _label_sort_key(item):
     return (1, 0) if isinstance(key, str) else (0, key)
 
 
-def _is_absorbing(degrees, d_l: int) -> bool:
-    return all(2 * d > d_l for d in degrees)
+def _is_absorbing(adj, d_l: int) -> bool:
+    return all(2 * x.bit_count() > d_l for x in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +299,28 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
     degrees are at most ``max_deg`` and whose normal girth is at least
     ``min_girth``.  ``adj`` is that graph, or its complement when
     ``complement`` is set, and ``form`` is the canonical form of ``adj``.
-    The deficit bound leaves no degree below ``f``."""
+    The deficit bound leaves no degree below ``f``.  A graph is labelled
+    when it is popped, against the set of forms it was pushed with."""
     # x ^ flips[v] complements the neighbourhood x of node v
     flips = [((1 << a) - 1) ^ (1 << v) for v in range(a)] if complement else None
-    if m == 0:  # the root is the one leaf: the empty graph or its complement
-        adj = list(flips) if complement else [0] * a
-        yield adj, canonical_masks(a, adj)
-        return
     tied = set()  # forms of the children with tie count above 1
-    stack = [([0] * a, 0)]
+    # the root's form is read only when the root is the one leaf, at m = 0
+    stack = [([0] * a, 0, set() if m == 0 else None)]
     while stack:
-        adj, k = stack.pop()
-        last = k + 1 == m  # the children are leaves
+        adj, k, known = stack.pop()
+        if k == m and complement:
+            adj = [x ^ y for x, y in zip(adj, flips)]
+        if known is not None:
+            form = canonical_masks(a, adj)
+            if form in known:
+                continue
+            known.add(form)
+        if k == m:
+            yield adj, form
+            continue
         degs = [x.bit_count() for x in adj]
         seen = set()  # one parent's extensions that give the same child
-        ones = []  # (u, v, child) for each tie-1 child below depth m
+        ones = []  # (u, v, child) for each tie-1 child
         top_deg = max(degs)
         # endpoints below f the added edge needs for the deficit bound
         need = sum(f - d for d in degs if d < f) - 2 * (m - k - 1)
@@ -345,42 +350,24 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
                 degs[u] += 1
                 degs[v] += 1
                 ties = _tie_count(adj, degs, u, v)
-                if ties == 1 and not last:
+                if ties == 1:
                     ones.append((u, v, list(adj)))
                 elif ties:
-                    if last and complement:
-                        child = [x ^ y for x, y in zip(adj, flips)]
-                    else:
-                        child = list(adj)
-                    child_form = canonical_masks(a, child)
-                    known = seen if ties == 1 else tied
-                    if child_form not in known:
-                        known.add(child_form)
-                        if last:
-                            yield child, child_form
-                        else:
-                            stack.append((child, k + 1))
+                    stack.append((list(adj), k + 1, tied))
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 degs[u] -= 1
                 degs[v] -= 1
-        if len(ones) < 2:
-            stack.extend((child, k + 1) for _, _, child in ones)
-            continue
-        # only tie-1 siblings of one pair key can give the same child
-        keys = _node_keys(adj, degs)
+        # every leaf is read; below the leaves, only tie-1 siblings of one
+        # pair key can give the same child
+        keys = _node_keys(adj, degs) if k + 1 < m and len(ones) > 1 else None
         groups = {}
         for u, v, child in ones:
-            groups.setdefault(_pair_key(adj, keys, u, v), []).append(child)
+            key = _pair_key(adj, keys, u, v) if keys else None
+            groups.setdefault(key, []).append(child)
         for group in groups.values():
-            if len(group) == 1:
-                stack.append((group[0], k + 1))
-                continue
-            for child in group:
-                child_form = canonical_masks(a, child)
-                if child_form not in seen:
-                    seen.add(child_form)
-                    stack.append((child, k + 1))
+            shared = seen if k + 1 == m or len(group) > 1 else None
+            stack.extend((child, k + 1, shared) for child in group)
 
 
 def generate_forms(
@@ -405,9 +392,7 @@ def generate_forms(
     else:
         grown = _grow(a, m, max_deg, min_normal_girth, 2)
     full = (1 << a) - 1
-    forms = [form for adj, form in grown if mask_connected(adj, full)]
-    forms.sort()
-    return [CanonicalForm(f) for f in forms]
+    return sorted(CanonicalForm(form) for adj, form in grown if mask_connected(adj, full))
 
 
 def generate_structures(spec: ClassSpec) -> Catalog:
@@ -416,10 +401,7 @@ def generate_structures(spec: ClassSpec) -> Catalog:
         return Catalog(spec=spec)
     min_girth = 3 if spec.g == 6 else 4
     forms = generate_forms(spec.a, spec.num_edges, spec.d_l, min_girth)
-    entries = [
-        CatalogEntry(form=form, absorbing=_is_absorbing(form.decode().degrees, spec.d_l))
-        for form in forms
-    ]
+    entries = [CatalogEntry(form, _is_absorbing(form.masks(), spec.d_l)) for form in forms]
     return Catalog(spec=spec, entries=entries)
 
 
@@ -452,23 +434,25 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
         lss = int(lss) if lss.isascii() and lss.isdigit() else 0
         if str(lss) != parts[2] or lss % 2 or not spec.g <= lss <= 2 * spec.a:
             raise GraphConstraintError(f"bad LSS label in {ln!r}")
-    graph = form.decode()
-    if graph.n != spec.a or graph.m != spec.num_edges:
+    adj = form.masks()
+    degrees = [x.bit_count() for x in adj]
+    if len(adj) != spec.a or sum(degrees) != 2 * spec.num_edges:
         raise GraphConstraintError(
             f"entry {parts[0]} does not match class (a={spec.a}, b={spec.b})"
         )
-    if canonical_masks(graph.n, graph.adj_masks) != form.data:
+    if not mask_connected(adj, (1 << spec.a) - 1):
+        raise GraphConstraintError(f"{parts[0]} is not a connected graph")
+    if canonical_masks(spec.a, adj) != form.data:
         raise GraphConstraintError(f"{parts[0]} is not the canonical form of its graph")
     # a node above d_l would also make the absorbing flag look wrong
-    check_degree_cap(graph, spec.d_l)
-    if min(graph.degrees) < 2:
+    check_degree_cap(degrees, spec.d_l)
+    if min(degrees) < 2:
         raise GraphConstraintError(f"{parts[0]} has a node of degree below 2")
-    adj = graph.adj_masks
-    if spec.g == 8 and any(adj[i] & adj[j] for i, j in graph.edges):
+    if spec.g == 8 and any(adj[i] & adj[j] for i, j in mask_edges(adj)):
         raise GraphConstraintError(
             f"{parts[0]} has a triangle, a Tanner 6-cycle in a girth-8 class"
         )
-    absorbing = _is_absorbing(graph.degrees, spec.d_l)
+    absorbing = _is_absorbing(adj, spec.d_l)
     if parts[1] != ("1" if absorbing else "0"):
         raise GraphConstraintError(
             f"absorbing flag {parts[1]} contradicts the degrees of {parts[0]}"

@@ -229,6 +229,11 @@ def mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mask_edges(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted edges ``(i, j)``, ``i < j``, of the per-node neighbour bitmasks ``adj``."""
+    return [(i, j) for i, row in enumerate(adj) for j in mask_bits(row & -(2 << i))]
+
+
 def mask_connected(adj: Sequence[int], nodes: int) -> bool:
     """Whether the non-empty node bitmask ``nodes`` is connected in the
     graph of the per-node neighbour bitmasks ``adj``, using only the edges

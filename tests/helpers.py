@@ -149,7 +149,7 @@ def to_normal(graph: TannerGraph, s) -> NormalGraph:
 
 def normal_b(n: NormalGraph, d_l: int) -> int:
     """Unsatisfied-check count of the expanded set: sum of (d_l - deg)."""
-    check_degree_cap(n, d_l)
+    check_degree_cap(n.degrees, d_l)
     return n.n * d_l - 2 * n.m
 
 
@@ -213,8 +213,7 @@ def tanner_lss_label(structure: NormalGraph, d_l: int):
 
 
 def annotate_absorbing(entry: CatalogEntry, d_l: int) -> CatalogEntry:
-    degs = entry.normal_graph().degrees
-    return replace(entry, absorbing=_is_absorbing(degs, d_l))
+    return replace(entry, absorbing=_is_absorbing(entry.form.masks(), d_l))
 
 
 def brute_gamma(graph: TannerGraph, members) -> tuple[set, set]:

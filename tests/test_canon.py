@@ -27,7 +27,7 @@ def test_random_permutation_probes(catalogs):
     entries = catalogs(4, 6, 6, 6).entries
     forms = set()
     for entry in entries:
-        g = entry.normal_graph()
+        g = entry.form.decode()
         base = canonical_form(g)
         forms.add(base)
         for _ in range(200):
@@ -39,7 +39,8 @@ def test_random_permutation_probes(catalogs):
 
 def test_form_decodes_to_isomorphic_graph(catalogs):
     for entry in catalogs(3, 6, 6, 2).entries:
-        g = entry.normal_graph()
+        g = entry.form.decode()
+        assert entry.form.masks() == g.adj_masks
         decoded = canonical_form(g).decode()
         assert are_isomorphic_oracle(g, decoded)
         assert canonical_form(decoded) == entry.form
@@ -70,7 +71,7 @@ def test_oracle_identity_and_degree_pruning(prism, k33):
 
 def test_oracle_agrees_with_forms_on_catalog(catalogs):
     entries = catalogs(3, 6, 8, 2).entries
-    graphs = [e.normal_graph() for e in entries]
+    graphs = [e.form.decode() for e in entries]
     for (g1, e1), (g2, e2) in itertools.combinations(zip(graphs, entries), 2):
         assert not are_isomorphic_oracle(g1, g2)
         assert e1.form != e2.form
@@ -106,7 +107,7 @@ def test_determinism_across_backends(catalogs):
     structures = 0
     for cell in cells:
         for entry in catalogs(*cell).entries:
-            g = entry.normal_graph()
+            g = entry.form.decode()
             for _ in range(5):
                 perm = list(range(g.n))
                 rng.shuffle(perm)

@@ -221,14 +221,14 @@ def test_classify_lss_6_6_catalog(catalogs):
     assert cat.label_histogram() == {6: 8, 8: 3}
     assert cat.label_histogram(absorbing_only=True) == {8: 2}
     for entry in cat.entries:
-        assert lss_label_of(entry.normal_graph(), 4) == entry.lss
+        assert lss_label_of(entry.form.masks(), 4) == entry.lss
 
 
 def test_classify_lss_na_cases(catalogs):
     assert catalogs(3, 6, 8, 2).label_histogram()[NA] == 2
     # an NA structure is invisible to expansion from any of its cycles
     entry = next(e for e in catalogs(3, 6, 8, 2).entries if e.lss == NA)
-    n = entry.normal_graph()
+    n = entry.form.decode()
     g = from_normal(n, 3)
     census = CycleCensus(n)
     full = tuple(range(n.n))
@@ -242,7 +242,7 @@ def test_labels_monotone(catalogs):
     for entry in catalogs(3, 6, 6, 4).entries:
         if entry.lss == NA:
             continue
-        n = entry.normal_graph()
+        n = entry.form.decode()
         g = from_normal(n, 3)
         census = CycleCensus(n)
         full = tuple(range(n.n))
@@ -259,7 +259,7 @@ def test_prop2_every_six_cycle_expands(catalogs):
     cat = catalogs(4, 6, 6, 2)
     assert cat.label_histogram() == {6: 3}
     for entry in cat.entries:
-        n = entry.normal_graph()
+        n = entry.form.decode()
         g = from_normal(n, 4)
         census = CycleCensus(n)
         full = tuple(range(6))
@@ -271,7 +271,7 @@ def test_prop2_every_six_cycle_expands(catalogs):
 def test_pure_cycle_structure_is_its_own_label(catalogs):
     cat = catalogs(3, 6, 5, 5)
     assert [e.lss for e in cat.entries] == [10]
-    assert lss_label_of(cat.entries[0].normal_graph(), 3) == 10
+    assert lss_label_of(cat.entries[0].form.masks(), 3) == 10
 
 
 def test_labels_match_tanner_expansion_oracle(catalogs):
@@ -281,9 +281,9 @@ def test_labels_match_tanner_expansion_oracle(catalogs):
     checked = 0
     for d_l, g, a, b in cells:
         for entry in catalogs(d_l, g, a, b).entries:
-            n = entry.normal_graph()
+            n = entry.form.decode()
             want = tanner_lss_label(n, d_l)
-            assert lss_label_of(n, d_l) == want == entry.lss, entry.form.hex()
+            assert lss_label_of(n.adj_masks, d_l) == want == entry.lss, entry.form.hex()
             labels.add(want)
             checked += 1
     assert checked == 577
@@ -301,4 +301,4 @@ def test_d4g8_9_8_absorbing_labels_match_tanner_oracle():
         n = CanonicalForm.from_hex(hexform).decode()
         assert n.n == 9 and normal_b(n, 4) == 8
         assert all(2 * d > 4 for d in n.degrees), hexform  # absorbing
-        assert lss_label_of(n, 4) == tanner_lss_label(n, 4) == 10, hexform
+        assert lss_label_of(n.adj_masks, 4) == tanner_lss_label(n, 4) == 10, hexform

@@ -71,7 +71,7 @@ def test_from_normal_degree_cap():
 
 def test_round_trip_on_catalog(catalogs):
     for entry in catalogs(4, 6, 6, 2).entries:
-        n = entry.normal_graph()
+        n = entry.form.decode()
         assert to_normal(from_normal(n, 4), range(n.n)) == n
 
 
@@ -153,7 +153,7 @@ def test_cycle_census_matches_dfs_at_every_cap(catalogs):
     graphs = [_random_connected(rng, n, density)
               for n in range(3, 11) for density in (0.1, 0.25, 0.4) for _ in range(3)]
     for cell in ((3, 6, 8, 4), (4, 6, 6, 6), (5, 6, 8, 6), (3, 8, 9, 3)):
-        graphs += [e.normal_graph() for e in catalogs(*cell).entries]
+        graphs += [e.form.decode() for e in catalogs(*cell).entries]
     lengths = set()
     for g in graphs:
         for cap in range(3, g.n + 1):
@@ -168,7 +168,7 @@ def test_cycle_census_matches_dfs_at_every_cap(catalogs):
 
 def test_girth_correspondence(catalogs):
     for entry in catalogs(3, 6, 6, 0).entries:
-        n = entry.normal_graph()
+        n = entry.form.decode()
         shortest = min(CycleCensus(n).counts)
         assert from_normal(n, 3).girth == shortest
 

@@ -250,7 +250,7 @@ def test_entries_are_valid_structures(catalogs):
     for (dl, g, a, b) in [(4, 6, 6, 6), (3, 6, 8, 2), (4, 8, 8, 8)]:
         cat = catalogs(dl, g, a, b)
         for entry in cat.entries:
-            n = entry.normal_graph()
+            n = entry.form.decode()
             assert n.n == a
             assert min(n.degrees) >= 2 and max(n.degrees) <= dl
             assert normal_b(n, dl) == b
@@ -289,7 +289,7 @@ def test_d3_diagonal_is_the_lone_cycle(catalogs):
     for a in range(4, 9):
         cat = catalogs(3, 6, a, a)
         assert len(cat) == 1
-        g = cat.entries[0].normal_graph()
+        g = cat.entries[0].form.decode()
         assert set(g.degrees) == {2}
         assert cat.entries[0].lss == 2 * a
 
@@ -300,14 +300,14 @@ def test_a10_scope_works(catalogs):
     cat = catalogs(3, 6, 10, 10)
     assert len(cat) == 1
     assert cat.entries[0].lss == 20
-    assert set(cat.entries[0].normal_graph().degrees) == {2}
+    assert set(cat.entries[0].form.decode().degrees) == {2}
 
 
 def test_annotate_absorbing(catalogs):
     for entry in catalogs(4, 6, 6, 6).entries:
         redone = annotate_absorbing(entry, 4)
         assert redone.absorbing == entry.absorbing
-        degs = entry.normal_graph().degrees
+        degs = entry.form.decode().degrees
         assert entry.absorbing == (min(degs) * 2 > 4)
     for entry in catalogs(3, 6, 6, 4).entries:
         assert annotate_absorbing(entry, 3).absorbing  # d_l = 3: always
@@ -349,6 +349,22 @@ PINNED_CATALOGS = {
 def test_catalog_bytes_pinned(catalogs, cell):
     text = format_catalog(catalogs(*cell))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CATALOGS[cell]
+
+
+# sha256 of the unlabelled catalog text of the a = 9 cells whose generation
+# takes the most canonical calls: one sparse, two grown as complements
+PINNED_BIG_CATALOGS = {
+    (4, 6, 9, 4): "fd61ad5c372a28f6044699ed5dd0f8560eef1d27fe0d547b741ee118700423bb",
+    (5, 6, 9, 5): "f53b6ca51cc0237a077c4e0c0e173b2dd0c75d8f55230a04ec36bebb0164a99c",
+    (6, 6, 9, 6): "ef1b5dc97b3bc0a12d12462891c3d17678820ffa0fb54b401f3fbe55087297e4",
+}
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("cell", list(PINNED_BIG_CATALOGS))
+def test_big_catalog_bytes_pinned(cell):
+    text = format_catalog(generate_structures(ClassSpec(*cell)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BIG_CATALOGS[cell]
 
 
 def test_generate_structures_is_repeatable():
@@ -431,6 +447,12 @@ def test_catalog_file_rejects_garbage():
          "line 3: absorbing flag .* contradicts the degrees"),
         # a d_l = 3 (6,2) structure with a triangle, in a girth-8 class
         ("# 3 8 6 2\n061af8\t1\t?\n", "line 2: 061af8 has a triangle"),
+        # two disjoint triangles: the (6,6) edge count for d_l = 3, every
+        # degree 2, but not one structure
+        ("# 3 6 6 6\n061e42\t0\t?\n", "line 2: .*connected"),
+        # zero nodes and one node: node counts no class has
+        ("# 3 6 6 6\n00\t0\t?\n", "line 2:"),
+        ("# 3 6 6 6\n01\t0\t?\n", "line 2: .*does not match class"),
     ]
     for text, message in cases:
         with pytest.raises(GraphConstraintError, match=message):
@@ -444,6 +466,23 @@ def test_catalog_labels_at_the_range_ends_round_trip():
     for label in ("6", "12", "NA", "?"):
         text = f"{good[0]}\n{hexform}\t{flag}\t{label}\n"
         assert format_catalog(parse_catalog(text)) == text
+
+
+def test_catalog_round_builds_no_normal_graph(catalogs, monkeypatch):
+    # generation, the catalog file and labelling read a form as adjacency
+    # bitmasks; a NormalGraph is built only for text, graph6 and decode()
+    from etskit.lss import label_catalog
+
+    cells = [(3, 6, 8, 4), (5, 6, 7, 5)]  # grown sparse, grown as complement
+    want = [format_catalog(catalogs(*cell)) for cell in cells]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a NormalGraph was built")
+
+    monkeypatch.setattr(NormalGraph, "__init__", refuse)
+    for cell, text in zip(cells, want):
+        cat = generate_structures(ClassSpec(*cell))
+        assert format_catalog(label_catalog(parse_catalog(format_catalog(cat)))) == text
 
 
 def test_unlabeled_catalog_round_trip():
