@@ -1,8 +1,10 @@
 """Tanner-graph model, alist ingestion, and trapping-set predicates.
 
 A Tanner graph here is always variable-regular (uniform left degree
-``d_l >= 3``), has no parallel edges, and girth at least 6.  Variable nodes
-and check nodes are numbered independently from 0.
+``d_l >= 3``), has no parallel edges, and girth at least 6, as found by
+``TannerGraph.girth``: a breadth-first pass over the same ``var_cmask`` and
+``chk_vmask`` that the predicates and the search read.  Variable nodes and
+check nodes are numbered independently from 0.
 
 For a variable set S, the neighbor checks split into the unsatisfied ones
 (odd degree in the induced subgraph) and the satisfied ones (even degree).
@@ -44,7 +46,6 @@ class TannerGraph:
     d_l: int
     var_adj: tuple[tuple[int, ...], ...]  # per variable, sorted check ids
     chk_adj: tuple[tuple[int, ...], ...]  # per check, sorted variable ids
-    girth: float  # even int, or math.inf when acyclic
 
     @classmethod
     def from_var_adj(cls, var_adj: Sequence[Sequence[int]], num_chk: int) -> "TannerGraph":
@@ -69,18 +70,16 @@ class TannerGraph:
         for v, row in enumerate(rows):
             for c in row:
                 chk[c].append(v)  # ascending v, so each list is sorted
-        chk_adj = tuple(map(tuple, chk))
-        g = _girth_of(rows, chk_adj)
-        if g < MIN_GIRTH:
-            raise GraphConstraintError(f"girth {g} below minimum {MIN_GIRTH}")
-        return cls(
+        graph = cls(
             num_var=len(rows),
             num_chk=num_chk,
             d_l=d_l,
             var_adj=rows,
-            chk_adj=chk_adj,
-            girth=g,
+            chk_adj=tuple(map(tuple, chk)),
         )
+        if graph.girth < MIN_GIRTH:
+            raise GraphConstraintError(f"girth {graph.girth} below minimum {MIN_GIRTH}")
+        return graph
 
     @cached_property
     def key(self) -> str:
@@ -103,6 +102,37 @@ class TannerGraph:
         """Per variable, bitmask of the variables of its checks."""
         cv = self.chk_vmask
         return tuple(reduce(or_, (cv[c] for c in cs)) for cs in self.var_adj)
+
+    @cached_property
+    def girth(self) -> float:
+        """Shortest cycle length, an even int, or ``math.inf`` when acyclic.
+
+        Breadth-first from each variable while the next layer could close a
+        shorter cycle.  In a bipartite graph, layer h + 1 is the neighbours
+        of layer h outside layer h - 1: ``twice |= once & nb``, ``once |= nb``
+        over each node's ``nb``.  A node in ``twice`` ends two paths of h + 1
+        edges that differ in their last edge: a cycle of at most 2h + 2.  A
+        shortest cycle, of length g, has no shortcut, so from a variable on it
+        the antipode, at g/2, is reached twice.  So the minimum is g.
+        """
+        adj = (self.var_cmask, self.chk_vmask)
+        best = inf
+        for root in range(self.num_var):
+            prev, layer, h = 0, 1 << root, 0
+            while layer and 2 * h + 2 < best:
+                nbrs, unseen, prev = adj[h % 2], ~prev, layer
+                once = twice = 0
+                while layer:
+                    low = layer & -layer
+                    layer ^= low
+                    nb = nbrs[low.bit_length() - 1] & unseen
+                    twice |= once & nb
+                    once |= nb
+                h += 1
+                if twice:
+                    best = 2 * h
+                layer = once
+        return best
 
 
 def members_of(graph: TannerGraph, s: Iterable[int]) -> tuple[int, ...]:
@@ -186,37 +216,6 @@ def cycle_levels(adj: Sequence[Sequence[int]], s: int, max_len: int, keep: int):
                         if m & m2 == sbit:
                             cycles.append((m | m2 | xbit) & keep)
         yield length, cycles
-
-
-def _girth_of(
-    var_adj: Sequence[Sequence[int]], chk_adj: Sequence[Sequence[int]]
-) -> float:
-    """Shortest cycle length in edges via BFS from every variable node."""
-    adj = node_adjacency(var_adj, chk_adj)
-    best = inf
-    for root in range(len(var_adj)):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                du = dist[u]
-                if 2 * du >= best:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cyc = du + dist[w] + 1
-                        if cyc < best:
-                            best = cyc
-            queue = nxt
-        if best <= 4:  # bipartite minimum; nothing shorter can appear
-            break
-    return best
 
 
 def mask_bits(mask: int) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from helpers import (
     frontier_sets,
     random_tanner,
     to_alist,
+    tutte_coxeter,
     unpruned_tanner_cycles,
 )
 
@@ -179,12 +180,33 @@ def test_girth_of_k33_expansion_is_8(k33):
 
 
 def test_girth_matches_normal_cycles_on_random_graphs():
-    # the cycle DFS shares no code with the girth BFS: it finds a cycle of
+    # the oracle walks each cycle node by node over the adjacency lists and
+    # shares no code with the bitmask BFS of the girth: it finds a cycle of
     # the girth's length and none shorter
-    for seed in range(20):
-        g = random_tanner(12, 3, 18, seed=seed)
+    codes = [random_tanner(12, 3, 18, seed=seed) for seed in range(20)]
+    girth_8 = [tutte_coxeter()]
+    girth_8 += [random_tanner(30, 3, 60, seed=s, girth_exactly=8) for s in (1, 2, 3)]
+    for g in codes + girth_8:
         assert min(unpruned_tanner_cycles(g, int(g.girth))) == g.girth
         assert g.girth >= 6
+    assert {g.girth for g in girth_8} == {8}
+
+
+@pytest.mark.time_limit(30)
+def test_girth_on_rings_chains_and_off_cycle_starts():
+    # a girth search must not grow every path from a start on no cycle, hold
+    # every start's paths at once, or restart for each length
+    # the ring: check i joins variables i and i + 1 (mod 400), and variable i
+    # has its own degree-1 check 400 + i
+    ring = [((i - 1) % 400, i, 400 + i) for i in range(400)]
+    assert TannerGraph.from_var_adj(ring, 800).girth == 800
+    # the chain: variable 0 leaves the closing check 399 for a new check 800
+    chain = [(800, 0, 400)] + ring[1:]
+    assert TannerGraph.from_var_adj(chain, 801).girth == math.inf
+    # variable 0 keeps one check of a girth-6 code and lies on no cycle
+    base = random_tanner(60, 3, 30, seed=1)
+    off_cycle = [(base.var_adj[0][0], 30, 31)] + list(base.var_adj[1:])
+    assert base.girth == TannerGraph.from_var_adj(off_cycle, 32).girth == 6
 
 
 def test_gamma_split_full_set(ets54):
