@@ -5,6 +5,9 @@ a catalog file), ``search`` (find trapping sets of a concrete code from
 its short cycles), ``verify`` (regenerate catalogs and diff against the
 shipped reference tables).
 
+Commands raise and ``main`` reports: each error a command raises is one
+``error: ...`` line on stderr, and an input error names the command's alist
+or catalog file.
 Exit codes: 0 success, 1 mismatch/diff, 2 usage error, 3 input error.
 """
 
@@ -16,7 +19,7 @@ import sys
 from pathlib import Path
 
 from etskit import tables
-from etskit.errors import AlistParseError, EtsError
+from etskit.errors import EtsError, is_decimal
 from etskit.lss import label_catalog
 from etskit.search import find_etss, format_report_table
 from etskit.structgen import (
@@ -41,15 +44,8 @@ def _hist_str(hist: dict) -> str:
     return "{" + inner + "}"
 
 
-def _is_decimal(text: str) -> bool:
-    """Whether ``text`` is an optional '-' and ASCII digits; ``int`` alone
-    would also take a '+', an underscore or non-ASCII digits."""
-    digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
-
-
 def _integer(text: str) -> int:
-    if not _is_decimal(text):
+    if not is_decimal(text.removeprefix("-")):
         raise argparse.ArgumentTypeError(f"must be an ASCII decimal integer, got {text!r}")
     return int(text)
 
@@ -61,7 +57,7 @@ def _class_args(p: argparse.ArgumentParser) -> None:
 
 def _thread_count(text: str) -> int:
     cap = os.cpu_count() or 1
-    if not _is_decimal(text) or not 1 <= int(text) <= cap:
+    if not is_decimal(text) or not 1 <= int(text) <= cap:
         raise argparse.ArgumentTypeError(
             f"must be an integer in 1..{cap} (the CPU count), got {text!r}"
         )
@@ -82,12 +78,9 @@ def cmd_gen(args) -> int:
     if table and table.in_scope(spec.a, spec.b):
         expected = table.expected_total(spec.a, spec.b)
         if expected > EXTENDED_THRESHOLD and not args.extended:
-            print(
-                f"class ({spec.a},{spec.b}) has {expected} structures; "
-                f"rerun with --extended",
-                file=sys.stderr,
+            raise ValueError(
+                f"class ({spec.a},{spec.b}) has {expected} structures; rerun with --extended"
             )
-            return EXIT_USAGE
     catalog = generate_structures(spec)
     if not args.no_lss:
         catalog = label_catalog(catalog)
@@ -105,11 +98,7 @@ def cmd_gen(args) -> int:
 def cmd_classify(args) -> int:
     catalog = read_catalog(args.catalog)
     if any(e.lss is not None for e in catalog.entries) and not args.force:
-        print(
-            "catalog already carries labels; use --force to relabel",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError("catalog already carries labels; use --force to relabel")
     labeled = label_catalog(catalog)
     write_catalog(labeled, args.catalog)
     print(_hist_str(labeled.label_histogram()))
@@ -117,11 +106,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        graph = parse_alist(Path(args.alist).read_bytes())
-    except AlistParseError as exc:
-        print(f"error: {args.alist}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    graph = parse_alist(Path(args.alist).read_bytes())
     report = find_etss(
         graph,
         k=args.k,
@@ -143,16 +128,13 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     table = tables.get_table(args.dl, args.girth)
     if table is None:
-        print(f"no reference table for d_l={args.dl}, g={args.girth}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no reference table for d_l={args.dl}, g={args.girth}")
     lo, hi = table.a_range
     if args.max_a < lo:
-        print(
+        raise ValueError(
             f"--max-a {args.max_a} is below the d_l={args.dl} g={args.girth} "
-            f"table's a range {lo}..{hi}; nothing would be checked",
-            file=sys.stderr,
+            f"table's a range {lo}..{hi}; nothing would be checked"
         )
-        return EXIT_USAGE
     tables.verify_checksum()
     diffs = 0
     skipped = []
@@ -241,7 +223,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except EtsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        path = getattr(args, "alist", None) or getattr(args, "catalog", None)
+        print(f"error: {path}: {exc}" if path else f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,14 +42,18 @@ def decode_utf8(data: bytes, error: Callable[[int, str], EtsError]) -> str:
         raise error(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from exc
 
 
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is a non-empty run of the ASCII digits 0-9.  ``int``
+    alone would also take a sign, an underscore or a non-ASCII digit."""
+    return text.isascii() and text.isdigit()
+
+
 def int_lines(text: str, error: Callable[[int, str], EtsError]) -> Iterator[tuple[int, list[int]]]:
     """``(line, integers)`` of each non-blank line, lines numbered from 1.
-    A token that is not a run of ASCII digits (a sign, an underscore, a
-    non-ASCII digit) raises ``error(line, message)``."""
+    A token that is not ``is_decimal`` raises ``error(line, message)``."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if tokens:
-            digits = "".join(tokens)
-            if not (digits.isascii() and digits.isdigit()):
+            if not is_decimal("".join(tokens)):
                 raise error(lineno, f"non-integer token in {tokens!r}")
             yield lineno, [int(tok) for tok in tokens]

@@ -113,7 +113,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from etskit.canon import CanonicalForm, canonical_masks
-from etskit.errors import GraphConstraintError, decode_utf8
+from etskit.errors import GraphConstraintError, decode_utf8, is_decimal
 from etskit.normal import check_degree_cap
 from etskit.tables import NA, Label
 from etskit.tanner import mask_connected, mask_edges
@@ -431,7 +431,7 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
     lss: Optional[Label] = None if parts[2] == "?" else parts[2]
     if lss not in (None, NA):
         # an even cycle length from g to 2a, written as format_catalog does
-        lss = int(lss) if lss.isascii() and lss.isdigit() else 0
+        lss = int(lss) if is_decimal(lss) else 0
         if str(lss) != parts[2] or lss % 2 or not spec.g <= lss <= 2 * spec.a:
             raise GraphConstraintError(f"bad LSS label in {ln!r}")
     adj = form.masks()
@@ -474,10 +474,7 @@ def parse_catalog(text: str) -> Catalog:
     if len(head) != 4:
         raise GraphConstraintError(f"line {header_no}: catalog header must be '# dl g a b'")
     try:
-        # ASCII digits only, as errors.int_lines reads numbers: int() would
-        # also take a sign, an underscore or a non-ASCII digit
-        digits = "".join(head)
-        if not (digits.isascii() and digits.isdigit()):
+        if not is_decimal("".join(head)):
             raise ValueError(f"non-integer token in {head!r}")
         spec = ClassSpec(*(int(x) for x in head))
     except ValueError as exc:

@@ -110,6 +110,18 @@ def test_classify_rejects_node_above_left_degree(tmp_path, capsys):
     assert "degree 4, above left degree 3" in stderr
 
 
+@pytest.mark.parametrize("row, message", [
+    ("061af8\t1", "bad catalog row '061af8\\t1'"),
+    ("061af8\t2\t?", "bad absorbing flag in '061af8\\t2\\t?'"),
+])
+def test_classify_bad_row_names_file_and_line(tmp_path, capsys, row, message):
+    cat = tmp_path / "bad.cat"
+    cat.write_text(f"# 3 6 6 2\n{row}\n")
+    code, stdout, stderr = run(capsys, "classify", "--catalog", str(cat))
+    assert code == 3 and stdout == ""
+    assert stderr == f"error: {cat}: line 2: {message}\n"
+
+
 def test_search_ets54(tmp_path, capsys, ets54):
     alist = tmp_path / "code.alist"
     alist.write_text(to_alist(ets54))
@@ -121,6 +133,21 @@ def test_search_ets54(tmp_path, capsys, ets54):
     data = json.loads(out.read_text())
     counts = {(c["a"], c["b"]): c["count"] for c in data["classes"]}
     assert counts[(5, 4)] == 1
+
+
+def test_search_prints_empty_table(tmp_path, capsys):
+    # the K4 alist of test_tanner.py: its only 6-cycles have 3 variables,
+    # above k = 2, so no seed is kept
+    alist = tmp_path / "k4.alist"
+    alist.write_text("4 6\n3 2\n3 3 3 3\n2 2 2 2 2 2\n1 2 3\n1 4 5\n2 4 6\n3 5 6\n"
+                     "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    code, stdout, stderr = run(capsys, "search", "--alist", str(alist), "--k", "2",
+                               "--max-cycle-len", "6", "--out", str(tmp_path / "r.json"))
+    assert code == 0 and stderr == ""
+    assert stdout == (
+        "code k4: d_l=3 girth=6 k=2 max_len=6 (g+0)\n"
+        "no trapping sets found\n"
+    )
 
 
 def test_search_bad_alist(tmp_path, capsys):
@@ -254,6 +281,32 @@ def test_verify_d3_g8(capsys):
                           "--max-a", "6")
     assert code == 0
     assert "0 diff(s)" in stdout
+
+
+def test_verify_reports_diffs(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from etskit.structgen import Catalog
+    from etskit.tables import NA
+
+    monkeypatch.setattr(cli, "label_catalog", lambda catalog: Catalog(
+        catalog.spec, [replace(e, lss=NA) for e in catalog.entries]))
+    code, stdout, _ = run(capsys, "verify", "--dl", "3", "--girth", "8",
+                          "--max-a", "4")
+    assert code == 1
+    # every other b of a = 4 is an empty class, which still matches
+    assert stdout.splitlines() == [
+        *(f"(4,{b}): ok" for b in range(4)),
+        "(4,4): DIFF ts={NA:1} want {8:1} as={NA:1} want {8:1}",
+        *(f"(4,{b}): ok" for b in range(5, 9)),
+        "verify d_l=3 g=8: 1 diff(s)",
+    ]
+
+
+def test_verify_without_reference_table(capsys):
+    code, stdout, stderr = run(capsys, "verify", "--dl", "7", "--girth", "6")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: no reference table for d_l=7, g=6\n"
 
 
 @pytest.mark.parametrize("max_a", ["3", "0", "-1"])

@@ -215,6 +215,28 @@ def test_graph6_rejects_nonzero_padding():
             from_graph6(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        ("?", "unsupported graph6 node count"),  # 0 nodes
+        ("~", "unsupported graph6 node count"),  # 63 nodes, or a long-form prefix
+        ("EJ~", "graph6 body has 2 chars, expected 3"),
+        ("EJ~>", "invalid graph6 character '>'"),
+    ],
+)
+def test_graph6_rejects_malformed_strings(text, message):
+    with pytest.raises(GraphConstraintError) as err:
+        from_graph6(text)
+    assert str(err.value) == message
+
+
+def test_graph6_refuses_more_than_62_nodes():
+    path = NormalGraph(63, [(i, i + 1) for i in range(62)])
+    with pytest.raises(GraphConstraintError, match="limited to n <= 62"):
+        to_graph6(path)
+
+
 def test_normal_graph_validation():
     with pytest.raises(GraphConstraintError, match="self-loop"):
         NormalGraph(3, [(0, 0)])
@@ -222,3 +244,5 @@ def test_normal_graph_validation():
         NormalGraph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphConstraintError, match="out of range"):
         NormalGraph(3, [(0, 5)])
+    with pytest.raises(GraphConstraintError, match="at least one node"):
+        NormalGraph(0, [])

@@ -436,6 +436,8 @@ def test_catalog_file_rejects_garbage():
         # bytes.fromhex reads each of these as the first row's form
         *((f"{header}\n{bad}\t{flag}\t{lss}\n", "line 2: bad canonical form")
           for bad in (hexform.upper(), f"{hexform[:2]} {hexform[2:]}", f" {hexform}")),
+        (f"{header}\n{hexform}\t{flag}\n", "line 2: bad catalog row"),
+        (f"{header}\n{hexform}\t2\t{lss}\n", "line 2: bad absorbing flag"),
         (f"{header}\n{row[:-1]}x\n", "line 2: bad LSS label"),
         # a label is an even cycle length from g = 6 to 2a = 12, in ASCII
         # digits as format_catalog writes it

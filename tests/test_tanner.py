@@ -107,6 +107,21 @@ def test_parse_rejects_girth_four():
         TannerGraph.from_var_adj(rows, 6)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "graph has no variable nodes"),
+        ([(0, 1, 2), (3, 4)], "variable 1 has degree 2, expected uniform 3"),
+        ([(0, 1, 2), (3, 4, 4)], "parallel edge at variable 1"),
+        ([(0, 1, 2), (3, 4, 6)], "variable 1 lists a check out of range"),
+    ],
+)
+def test_from_var_adj_rejects_malformed_rows(rows, message):
+    with pytest.raises(GraphConstraintError) as err:
+        TannerGraph.from_var_adj(rows, 6)
+    assert str(err.value) == message
+
+
 def test_parse_malformed_header():
     with pytest.raises(AlistParseError) as err:
         parse_alist("3\n")
@@ -338,6 +353,8 @@ def test_varset_binding(ets54):
         gamma_split(ets54, [0, 99])
     with pytest.raises(BindingError):
         gamma_split(ets54, [-1])
+    with pytest.raises(ValueError, match="variable set is empty"):
+        classify(ets54, [])
 
 
 def test_disconnected_set_not_in_pool(prism):
