@@ -26,29 +26,28 @@ The parent of a child is chosen invariant-first (McKay's canonical
 construction paths).  Each edge (x, y) gets the cheap key (larger endpoint
 degree, smaller endpoint degree, triangles through the edge), and a child
 is grown only by an edge of largest key; any other child is rejected
-before canonical labelling.  Its tie count, the number of edges of that
-largest key, decides how its duplicates are caught.  This is exact:
+before canonical labelling.  Its tie count is the number of edges of that
+largest key.  Dense classes (more than half of all possible edges) are
+generated through their complements: the degree window mirrors, the
+complement is grown the same way, and leaves are complemented back before
+canonical encoding.  "Exactly once" is argued in three parts:
+
+**Completeness.**  Every class is produced at least once.
 
 - Deleting any edge of a valid node gives a valid node: degree caps, girth
   and the deficit bound are all closed under edge deletion.  So for a
   valid class C and any top-key edge e of C, the class C - e is generated,
-  and adding e back passes every test: C is produced at least once.
-- The key is an isomorphism invariant of (graph, edge), so the tie count is
-  one of the graph, and every production of C has the same tie count.
-- Tie count 1: the added edge is C's only top-key edge e, so every
-  production of C adds the image of e under an isomorphism, and its
-  parent is isomorphic to C - e.  By induction on the edge count that
-  parent class is produced once, so only its own extensions can repeat C,
-  and ``seen`` merges the extensions of one parent that give the same
-  child.
-- Tie count above 1: the child's form goes into ``tied``, and a later
-  child whose form is already there is dropped.  Only tied children are
-  remembered, which keeps the set small (a form fixes its edge count, so
-  one set serves every depth).
+  and adding e back passes every test.
+- Every filter is an invariant of (graph, edge), so isomorphic graphs grow
+  the same classes of children (the twin skip below drops none): a graph
+  dropped as a repeat loses no class.
+- A complemented-back leaf has more edges than any depth of the
+  complement's growth, and a form fixes its edge count, so it never meets
+  a form of that growth and is never dropped for one.
 
-Before any of that, a parent skips the extensions that swapping twins maps
-onto an earlier one (McKay's pruning by the parent's automorphisms, on a
-subgroup that is cheap to find).  Nodes x and y are twins when
+A parent also skips the extensions that swapping twins maps onto an earlier
+one (McKay's pruning by the parent's automorphisms, on a subgroup that is
+cheap to find).  Nodes x and y are twins when
 ``adj[x] & ~(1 << y) == adj[y] & ~(1 << x)``:
 
 - The relation is an equivalence.  For twins x ~ y and y ~ z, the first
@@ -63,23 +62,27 @@ subgroup that is cheap to find).  Nodes x and y are twins when
   (0 for the smallest), only u of rank 0 and v of rank 1 in u's class or
   of rank 0 in another are tried.
 - An automorphism s of the parent maps the child grown by (u, v) onto the
-  child grown by (s(u), s(v)), edge to edge.  Degrees, adjacency, the
-  deficit, the girth tests and the tie count are invariants of (graph,
-  edge), so a skipped extension passes each filter exactly when its
-  representative does, with the same tie count.  The representative is
-  tried in the same loop, so the skipped child would only repeat it, and
-  ``seen`` or ``tied`` would drop it: the outputs are unchanged.
+  child grown by (s(u), s(v)), edge to edge, so a skipped extension passes
+  each filter exactly when its representative does, with the same tie
+  count.  The representative is tried in the same loop, so no class is
+  lost.
 
-Dense classes (more than half of all possible edges) are generated through
-their complements: the degree window mirrors, the complement is grown the
-same way, and results are complemented back before canonical encoding.
+**At most once.**  ``_grow`` keeps one set of every form it reads and
+drops a read graph whose form the set already holds; every leaf is read,
+so no class is yielded twice, whatever the pruning rules below decide.
 
-``_grow`` labels in one place: a graph is pushed with the set of forms it
-must not repeat (its parent's ``seen``, or ``tied``), or with None when its
-form is not read, and is labelled when popped.  Every leaf and every child
-of tie count above 1 is read.  Two kinds of call are skipped, both exactly:
+**Efficiency.**  A read costs a canonical-form call, so a graph is read
+only when it could repeat one already grown; the arguments below show that
+no class is grown twice, and the tests pin the calls per cell.
 
-- A tie-1 child below depth m is labelled only when another tie-1 sibling
+- The key is an isomorphism invariant of (graph, edge), so the tie count is
+  one of the graph, and every production of C has the same tie count.  A
+  child of tie count above 1 is read.
+- Tie count 1: the added edge is C's only top-key edge e, so every
+  production of C adds the image of e under an isomorphism, and its parent
+  is isomorphic to C - e.  By induction on the edge count that parent
+  class is grown once, so only its own extensions can repeat C.
+- A tie-1 child below depth m is read only when another tie-1 sibling
   shares its pair key.  A node's key is its degree and its sorted
   neighbour degrees; the pair key of an added edge (u, v) is the keys of u
   and v in the parent, as an unordered pair, and the number of common
@@ -88,20 +91,15 @@ of tie count above 1 is read.  Two kinds of call are skipped, both exactly:
   (the key is an invariant), so it restricts to an automorphism of the
   parent that maps e onto e'.  Node keys and common neighbours are
   invariants, so the pair keys of e and e' are equal.  A child whose pair
-  key no sibling shares therefore repeats no sibling: ``seen`` would keep
-  it and would drop no sibling for it, so it is pushed unlabelled.
-- A dense class labels each leaf once, as the complemented-back graph,
-  and that form serves ``seen``, ``tied`` and the output.  Complementing
-  is a bijection on isomorphism classes, so two leaves have equal forms
-  exactly when their complements do.  The complemented-back graph has
-  more edges than any depth of the complement's growth, and a form fixes
-  its edge count, so it meets no form that ``tied`` holds from a
-  shallower depth.  A complete graph grows from the empty complement,
-  whose root is itself the leaf and is labelled.
+  key no sibling shares therefore repeats no graph, and is grown unread.
+- A dense class reads each leaf once, as the complemented-back graph, and
+  that form serves the set and the output.  Complementing is a bijection
+  on isomorphism classes, so two leaves have equal forms exactly when their
+  complements do.  A complete graph grows from the empty complement, whose
+  root is itself the leaf and is read.
 
-The order in which graphs are popped changes which production of a
-class is kept, but not the set of classes; ``generate_forms`` sorts its
-forms.
+The order in which graphs are popped changes which production of a class
+is kept, but not the set of classes; ``generate_forms`` sorts its forms.
 """
 
 from __future__ import annotations
@@ -299,18 +297,17 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
     degrees are at most ``max_deg`` and whose normal girth is at least
     ``min_girth``.  ``adj`` is that graph, or its complement when
     ``complement`` is set, and ``form`` is the canonical form of ``adj``.
-    The deficit bound leaves no degree below ``f``.  A graph is labelled
-    when it is popped, against the set of forms it was pushed with."""
+    The deficit bound leaves no degree below ``f``.  A graph pushed to be
+    read, and every leaf, is labelled when popped and dropped if known."""
     # x ^ flips[v] complements the neighbourhood x of node v
     flips = [((1 << a) - 1) ^ (1 << v) for v in range(a)] if complement else None
-    tied = set()  # forms of the children with tie count above 1
-    # the root's form is read only when the root is the one leaf, at m = 0
-    stack = [([0] * a, 0, set() if m == 0 else None)]
+    known = set()  # every form read during this call
+    stack = [([0] * a, 0, False)]
     while stack:
-        adj, k, known = stack.pop()
+        adj, k, read = stack.pop()
         if k == m and complement:
             adj = [x ^ y for x, y in zip(adj, flips)]
-        if known is not None:
+        if read or k == m:
             form = canonical_masks(a, adj)
             if form in known:
                 continue
@@ -319,7 +316,6 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
             yield adj, form
             continue
         degs = [x.bit_count() for x in adj]
-        seen = set()  # one parent's extensions that give the same child
         ones = []  # (u, v, child) for each tie-1 child
         top_deg = max(degs)
         # endpoints below f the added edge needs for the deficit bound
@@ -353,12 +349,12 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
                 if ties == 1:
                     ones.append((u, v, list(adj)))
                 elif ties:
-                    stack.append((list(adj), k + 1, tied))
+                    stack.append((list(adj), k + 1, True))
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 degs[u] -= 1
                 degs[v] -= 1
-        # every leaf is read; below the leaves, only tie-1 siblings of one
+        # leaves are read when popped; below them, only tie-1 siblings of one
         # pair key can give the same child
         keys = _node_keys(adj, degs) if k + 1 < m and len(ones) > 1 else None
         groups = {}
@@ -366,8 +362,7 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
             key = _pair_key(adj, keys, u, v) if keys else None
             groups.setdefault(key, []).append(child)
         for group in groups.values():
-            shared = seen if k + 1 == m or len(group) > 1 else None
-            stack.extend((child, k + 1, shared) for child in group)
+            stack.extend((child, k + 1, len(group) > 1) for child in group)
 
 
 def generate_forms(
@@ -500,19 +495,23 @@ def parse_catalog(text: str) -> Catalog:
 def write_text_atomic(path: Union[str, Path], text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
     directory and ``os.replace``: ``path`` holds its old or its new text,
-    never part of one, and a write that raises removes the temporary file.
-    Nothing is flushed to disk, so this guards against a failing process,
-    not against a power loss."""
+    never part of one, and a write that raises removes the temporary file;
+    an error names ``path``, not the temporary file.  Nothing is flushed to
+    disk, so this guards against a failing process, not against a power
+    loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "x")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, str(path))
 
 
 def write_catalog(catalog: Catalog, path: Union[str, Path]) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -85,6 +86,19 @@ def test_classify_failed_write_keeps_catalog(tmp_path, capsys, monkeypatch):
     assert code == 2 and "disk full" in stderr
     assert cat.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.cat"]
+
+
+@pytest.mark.parametrize("out,code", [("missing/c.cat", errno.ENOENT), ("ro", errno.EISDIR)])
+def test_unwritable_out_names_the_given_path(tmp_path, capsys, monkeypatch, out, code):
+    # the error names --out as given, not the random temporary file the write
+    # goes through, and that file is removed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ro").mkdir()
+    exit_code, _, stderr = run(capsys, "gen", "--dl", "3", "--girth", "6",
+                               "--a", "6", "--b", "4", "--out", out)
+    assert exit_code == 2
+    assert stderr == f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["ro"]
 
 
 def test_classify_empty_catalog(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from etskit import structgen
 from etskit.canon import CanonicalForm, canonical_form, canonical_masks
 from etskit.normal import NormalGraph
 from etskit.structgen import (
@@ -36,8 +37,6 @@ def test_class_feasible_edge_cap():
 
 
 def _count_canonical_calls(monkeypatch):
-    from etskit import structgen
-
     calls = [0]
     canonical_masks = structgen.canonical_masks
 
@@ -86,6 +85,43 @@ def test_girth_eight_cell_canonical_call_count(monkeypatch):
     calls = _count_canonical_calls(monkeypatch)
     assert len(generate_structures(ClassSpec(3, 8, 8, 4))) == 10
     assert calls[0] == 381
+
+
+@pytest.mark.parametrize("cell,structures,pinned", [
+    ((3, 6, 8, 4), 25, 677),
+    ((4, 8, 8, 8), 14, 666),
+    ((6, 6, 8, 8), 120, 534),  # grown as its complement
+    ((6, 6, 8, 10), 260, 1028),  # grown as its complement
+])
+def test_catalog_cell_canonical_call_count(monkeypatch, cell, structures, pinned):
+    # the other catalog-workload cells: with the three pins above and the
+    # Mantel 0 the twelve cells take 9,042 calls
+    calls = _count_canonical_calls(monkeypatch)
+    assert len(generate_structures(ClassSpec(*cell))) == structures
+    assert calls[0] == pinned
+
+
+def _pair_key_shared_by_no_siblings(monkeypatch):
+    monkeypatch.setattr(structgen, "_pair_key", lambda adj, keys, u, v: (u, v))
+
+
+def _tie_count_capped_at_one(monkeypatch):
+    tie_count = structgen._tie_count
+    monkeypatch.setattr(structgen, "_tie_count", lambda *args: min(tie_count(*args), 1))
+
+
+@pytest.mark.parametrize("misfire", [_pair_key_shared_by_no_siblings, _tie_count_capped_at_one])
+@pytest.mark.parametrize("args", [(8, 12, 4, 3), (8, 16, 5, 3), (7, 10, 4, 3)])
+def test_misfiring_pruning_rule_costs_calls_not_duplicates(monkeypatch, misfire, args):
+    # every form read goes into one set, and every leaf is read, so a pruning
+    # rule that wrongly leaves children unread grows classes twice but yields
+    # each once.  With a set per parent for tie-1 children and one for the
+    # rest, these misfires gave 288 and 7,498 forms for the 250 classes of
+    # d4g6 (8,8), 617 and 11,091 for the 461 of d5g6 (8,8) (grown as its
+    # complement), and 57 and 259 for the 44 of (7, 10, 4, 3).
+    expected = generate_forms(*args)
+    misfire(monkeypatch)
+    assert generate_forms(*args) == expected
 
 
 @pytest.mark.parametrize("dl,a", [(3, 4), (4, 5), (5, 6), (6, 7)])
@@ -358,13 +394,16 @@ PINNED_BIG_CATALOGS = {
     (5, 6, 9, 5): "f53b6ca51cc0237a077c4e0c0e173b2dd0c75d8f55230a04ec36bebb0164a99c",
     (6, 6, 9, 6): "ef1b5dc97b3bc0a12d12462891c3d17678820ffa0fb54b401f3fbe55087297e4",
 }
+PINNED_BIG_CALLS = {(4, 6, 9, 4): 20515, (5, 6, 9, 5): 36898, (6, 6, 9, 6): 6932}
 
 
 @pytest.mark.extended
 @pytest.mark.parametrize("cell", list(PINNED_BIG_CATALOGS))
-def test_big_catalog_bytes_pinned(cell):
+def test_big_catalog_bytes_pinned(monkeypatch, cell):
+    calls = _count_canonical_calls(monkeypatch)
     text = format_catalog(generate_structures(ClassSpec(*cell)))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BIG_CATALOGS[cell]
+    assert calls[0] == PINNED_BIG_CALLS[cell]
 
 
 def test_generate_structures_is_repeatable():
