@@ -48,22 +48,15 @@ static void leaf(State *st, const int *verts)
         memcpy(st->best, buf, st->nbytes);
 }
 
-/* Signatures are compared on their first ncells entries. */
-static int sig_cmp(const int *a, const int *b, int ncells)
-{
-    int j;
-    for (j = 0; j < ncells; j++)
-        if (a[j] != b[j])
-            return a[j] > b[j] ? 1 : -1;
-    return 0;
-}
-
-/* cell_end[p] is 1 when position p closes a cell of the ordered partition. */
+/* cell_end[p] is 1 when position p closes a cell of the ordered partition.
+ * A vertex's key packs its neighbour count in each cell, 4 bits per cell,
+ * the first cell highest: a vertex has at most 15 neighbours and a partition
+ * at most 16 cells, so keys order vertices exactly as the count rows do. */
 static void refine(const State *st, int *verts, unsigned char *cell_end)
 {
     int n = st->n;
     unsigned int cellmask[NODE_CAP];
-    int sig[NODE_CAP][NODE_CAP];
+    unsigned long long key[NODE_CAP];
     int changed = 1;
     while (changed) {
         int ncells = 0, start = 0, i, p, q, v;
@@ -77,22 +70,22 @@ static void refine(const State *st, int *verts, unsigned char *cell_end)
             start = p + 1;
         }
         for (v = 0; v < n; v++)
-            for (q = 0; q < ncells; q++)
-                sig[v][q] = popcount(st->adj[v] & cellmask[q]);
+            for (key[v] = 0, q = 0; q < ncells; q++)
+                key[v] = key[v] << 4 | popcount(st->adj[v] & cellmask[q]);
         changed = 0;
         start = 0;
         for (p = 0; p < n; p++) {
             if (!cell_end[p])
                 continue;
-            /* stable insertion sort of verts[start..p] by signature */
+            /* stable insertion sort of verts[start..p] by key */
             for (i = start + 1; i <= p; i++) {
                 int w = verts[i];
-                for (q = i - 1; q >= start && sig_cmp(sig[verts[q]], sig[w], ncells) > 0; q--)
+                for (q = i - 1; q >= start && key[verts[q]] > key[w]; q--)
                     verts[q + 1] = verts[q];
                 verts[q + 1] = w;
             }
             for (i = start; i < p; i++)
-                if (sig_cmp(sig[verts[i]], sig[verts[i + 1]], ncells) != 0) {
+                if (key[verts[i]] != key[verts[i + 1]]) {
                     cell_end[i] = 1;
                     changed = 1;
                 }

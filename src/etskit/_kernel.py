@@ -24,8 +24,10 @@ holding its own node's bit or a bit at or above ``n`` raise
 a mask that is not an ``int`` ``TypeError``, and an ``adj`` shorter than
 ``n`` ``IndexError``.
 ``src/etskit/_ckernel.c``, written by hand against the CPython API,
-applies them on fixed arrays: each pass rebuilds every cell mask and keys
-every vertex, and each cell is sorted by key with a stable insertion sort.
+applies them on fixed arrays: each pass rebuilds every cell mask, keys
+every vertex by one 64-bit integer (its count in each cell in 4 bits, the
+first cell highest: 16 nodes allow 16 cells and 15 neighbours, so it
+orders as the tuple does), and sorts each cell with a stable insertion sort.
 Updating masks only for split cells, keying only vertices of
 non-singleton cells and stopping at the discrete partition, as this
 module does, leave the result unchanged.  The two kernels must return the

@@ -115,7 +115,7 @@ def cmd_search(args) -> int:
     )
     text = report.to_json(args.sets)
     write_text_atomic(args.out, text)
-    if args.sets_out:
+    if args.sets_out is not None:
         lines = report.export_lines()
         write_text_atomic(args.sets_out, "\n".join(lines) + ("\n" if lines else ""))
     if args.json:

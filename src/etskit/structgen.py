@@ -16,11 +16,14 @@ nodes of degree d < f, and a child survives while it is at most 2(m - k).
 Deleting an edge adds at most 2 to the deficit and exactly 2 to 2(m - k),
 so the bound is closed under edge deletion; at depth m it leaves no degree
 below f.  A child's deficit is its parent's less one per endpoint below f,
-an O(1) test per candidate edge.  The capacity twin, 2(m - k) <=
-sum(max_deg - d) = a*max_deg - 2k, is the constant 2m <= a*max_deg, tested
-once up front: a sparse class meets it, and a dense class's complement
-(C(a,2) - m edges, cap a - 3) meets it exactly when m >= a.  With no edge
-to place it also forces f = 0.
+an O(1) test per candidate edge.  Its capacity twin, 2(m - k) <=
+sum(max_deg - d) = a*max_deg - 2k, is the constant 2m <= a*max_deg, so
+``_grow`` tests it once, at the root, with the root's deficit (a root leaf
+is tested nowhere else): a*f <= 2m <= a*max_deg.  A class that
+``class_feasible`` passes has 2a <= a*d_l - b = 2m <= a*d_l, so its root
+passes, and so does a dense class's complement (C(a,2) - m >= 0 edges,
+cap a - 3, f = max(0, a - 1 - d_l)); only a direct caller's m outside
+[a, C(a,2)] or over capacity fails.
 
 The parent of a child is chosen invariant-first (McKay's canonical
 construction paths).  Each edge (x, y) gets the cheap key (larger endpoint
@@ -302,7 +305,7 @@ def _grow(a: int, m: int, max_deg: int, min_girth: int, f: int, complement: bool
     # x ^ flips[v] complements the neighbourhood x of node v
     flips = [((1 << a) - 1) ^ (1 << v) for v in range(a)] if complement else None
     known = set()  # every form read during this call
-    stack = [([0] * a, 0, False)]
+    stack = [([0] * a, 0, False)] if a * f <= 2 * m <= a * max_deg else []
     while stack:
         adj, k, read = stack.pop()
         if k == m and complement:
@@ -374,12 +377,8 @@ def generate_forms(
     """All connected graphs on ``a`` nodes, ``m`` edges, degrees in
     [2, max_deg], normal girth at least ``min_normal_girth``; one canonical
     form per isomorphism class, sorted."""
-    if m < a or m > a * (a - 1) // 2:
-        return []  # connected with minimum degree 2 forces m >= a
     if min_normal_girth >= 4 and m > a * a // 4:
         return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
-    if 2 * m > a * max_deg:
-        return []  # a nodes of degree <= max_deg hold at most a*max_deg/2 edges
     total_pairs = a * (a - 1) // 2
     if min_normal_girth == 3 and m > total_pairs // 2:
         # grow the complement, whose degrees lie in [a - 1 - max_deg, a - 3]
@@ -431,7 +430,7 @@ def _parse_row(ln: str, spec: ClassSpec) -> CatalogEntry:
             raise GraphConstraintError(f"bad LSS label in {ln!r}")
     adj = form.masks()
     degrees = [x.bit_count() for x in adj]
-    if len(adj) != spec.a or sum(degrees) != 2 * spec.num_edges:
+    if len(adj) != spec.a or spec.a * spec.d_l - sum(degrees) != spec.b:
         raise GraphConstraintError(
             f"entry {parts[0]} does not match class (a={spec.a}, b={spec.b})"
         )
@@ -499,6 +498,8 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
     an error names ``path``, not the temporary file.  Nothing is flushed to
     disk, so this guards against a failing process, not against a power
     loss."""
+    if not Path(path).name:
+        raise OSError(f"output path {os.fspath(path)!r} names no file")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:

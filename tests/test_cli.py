@@ -101,6 +101,27 @@ def test_unwritable_out_names_the_given_path(tmp_path, capsys, monkeypatch, out,
     assert [p.name for p in tmp_path.rglob("*")] == ["ro"]
 
 
+@pytest.mark.parametrize("option,path", [
+    ("--out", ""), ("--out", "/"), ("--out", "."), ("--sets-out", ""),
+])
+def test_output_path_naming_no_file_is_a_usage_error(tmp_path, capsys, monkeypatch, ets54,
+                                                      option, path):
+    # the error names the path as given and nothing is written; the report is
+    # written before --sets-out, as for any other unwritable --sets-out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "code.alist").write_text(to_alist(ets54))
+    if option == "--out":
+        argv = ["gen", "--dl", "3", "--girth", "6", "--a", "6", "--b", "4", "--out", path]
+    else:
+        argv = ["search", "--alist", "code.alist", "--k", "5", "--max-cycle-len", "6",
+                "--out", "r.json", "--sets-out", path]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: output path {path!r} names no file\n"
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["code.alist"] if option == "--out" else ["code.alist", "r.json"])
+
+
 def test_classify_empty_catalog(tmp_path, capsys):
     out = tmp_path / "c.cat"
     run(capsys, "gen", "--dl", "5", "--girth", "8", "--a", "7", "--b", "9",
@@ -108,6 +129,24 @@ def test_classify_empty_catalog(tmp_path, capsys):
     code, stdout, _ = run(capsys, "classify", "--catalog", str(out))
     assert code == 0
     assert stdout.strip() == "{}"
+
+
+def test_classify_empty_class_header_takes_no_row(tmp_path, capsys):
+    # a*d_l - b = 19 is odd, so class (7,2) of d_l = 3 is empty; the rows of
+    # class (7,3) have the degree sum 18 that rounding 19 down would give
+    cat = tmp_path / "c.cat"
+    run(capsys, "gen", "--dl", "3", "--girth", "6", "--a", "7", "--b", "3",
+        "--no-lss", "--out", str(cat))
+    rows = cat.read_text().split("\n", 1)[1]
+    cat.write_text("# 3 6 7 2\n" + rows)
+    code, stdout, stderr = run(capsys, "classify", "--catalog", str(cat))
+    assert code == 3 and stdout == ""
+    assert stderr == (f"error: {cat}: line 2: entry {rows[:8]} does not match "
+                      "class (a=7, b=2)\n")
+    # the header alone still reads, as gen writes it for an empty class
+    cat.write_text("# 3 6 7 2\n")
+    code, stdout, _ = run(capsys, "classify", "--catalog", str(cat))
+    assert code == 0 and stdout == "{}\n"
 
 
 def test_classify_rejects_node_above_left_degree(tmp_path, capsys):

@@ -215,10 +215,14 @@ def test_tie_one_twins_share_pair_key():
     [
         (8, 13, 3),  # sparse: 26 degrees, at most 24 room
         (6, 10, 3),  # dense, grown as the complement: 20 degrees, 18 room
+        (5, 10, 3),  # K5, a complement root with no edge to place
+        (8, 7, 4),  # m < a: some node has degree below 2
+        (6, 16, 5),  # m > C(6,2): the complement has -1 edges
+        (2, 1, 3),  # K2, a complement root whose cap a - 3 is -1
     ],
 )
-def test_degree_sum_bound_skips_orderly_search(monkeypatch, a, m, max_deg):
-    # 2m > a*max_deg: no graph fits, and not even the root is labelled
+def test_out_of_range_edge_counts_make_no_kernel_call(monkeypatch, a, m, max_deg):
+    # the root fails a*f <= 2m <= a*max_deg: nothing is grown or labelled
     calls = _count_canonical_calls(monkeypatch)
     assert generate_forms(a, m, max_deg) == []
     assert calls[0] == 0
