@@ -12,13 +12,10 @@ Run after building the extension in place:
     python benchmarks/bench_kernel.py
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 
-from etskit import _kernel
+from etskit import _kernel, structgen
 
 try:
     from etskit import _ckernel
@@ -70,46 +67,36 @@ def bench_canon():
 
 GENERATION_CELLS = ((5, 6, 8, 6), (4, 6, 8, 8), (5, 6, 8, 8))
 
-# counts the canonical-form calls of generation by wrapping the name that
-# structgen calls, then prints "structures calls seconds"
-GENERATION_SNIPPET = """
-import sys, time
-from etskit import structgen
-calls = 0
-inner = structgen.canonical_masks
-def counting(*args):
-    global calls
-    calls += 1
-    return inner(*args)
-structgen.canonical_masks = counting
-t0 = time.perf_counter()
-cat = structgen.generate_structures(structgen.ClassSpec(*map(int, sys.argv[1:])))
-print(len(cat), calls, f"{time.perf_counter() - t0:.2f}")
-"""
-
 
 def bench_generation():
-    """Time catalog generation per cell and kernel, each in a fresh
-    interpreter, with its count of canonical-form calls."""
+    """Time catalog generation per cell and kernel, with its count of
+    canonical-form calls; the kernels must agree on both forms and calls."""
     print(f"{'cell (d_l,g,a,b)':<18} {'kernel':<9} {'structures':>10} "
           f"{'canon calls':>12} {'seconds':>8}")
+    inner = structgen.canonical_masks
     for cell in GENERATION_CELLS:
-        for label, env in (("compiled", None), ("pure", {"ETSKIT_PURE": "1"})):
-            if label == "compiled" and _ckernel is None:
+        runs = []
+        for label, module in (("compiled", _ckernel), ("pure", _kernel)):
+            if module is None:
                 print(f"{str(cell):<18} {label:<9} extension not built, skipping")
                 continue
-            full_env = dict(os.environ)
-            if env:
-                full_env.update(env)
-            out = subprocess.run(
-                [sys.executable, "-c", GENERATION_SNIPPET, *map(str, cell)],
-                capture_output=True,
-                text=True,
-                env=full_env,
-                check=True,
-            )
-            count, calls, seconds = out.stdout.split()
-            print(f"{str(cell):<18} {label:<9} {count:>10} {calls:>12} {seconds:>8}")
+            calls = 0
+
+            def counting(n, adj):  # the name structgen calls, on this kernel
+                nonlocal calls
+                calls += 1
+                return module.canonical_bits(n, adj)
+
+            structgen.canonical_masks = counting
+            try:
+                t0 = time.perf_counter()
+                catalog = structgen.generate_structures(structgen.ClassSpec(*cell))
+                seconds = time.perf_counter() - t0
+            finally:
+                structgen.canonical_masks = inner
+            runs.append((catalog.entries, calls))
+            print(f"{str(cell):<18} {label:<9} {len(catalog):>10} {calls:>12} {seconds:>8.2f}")
+        assert all(run == runs[0] for run in runs), f"the kernels disagree on cell {cell}"
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@
 For each workload, kernel and seed, runs ``perfbench/run.py`` twice, with
 ``--trace 0`` for the end-to-end metrics and ``--trace 1`` for the
 per-layer ones, and stores each metric's median, range and per-seed
-values.  The pure kernel runs from this checkout with ``ETSKIT_PURE=1``;
-the compiled kernel runs from a temporary copy of the sources built with
-``python setup.py build_ext --inplace``.  Each run's full record must name
-the kernel it was meant to measure, or nothing is written.  Run from
+values.  Each kernel runs from its own temporary copy of the sources:
+the pure kernel's copy is left unbuilt, and the compiled kernel's is built
+with ``python setup.py build_ext --inplace``.  Each run's full record must
+name the kernel it was meant to measure, or nothing is written.  Run from
 anywhere:
 
     python benchmarks/trajectory.py                      # every workload, seeds 1-3
@@ -32,12 +32,11 @@ COPIED = ("src", "perfbench", "setup.py", "pyproject.toml", "README.md", "BENCHM
 IGNORED = shutil.ignore_patterns("__pycache__", "*.so", "out", "build")
 
 
-def run_bench(root: Path, env: dict, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run from ``root``; returns its full record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode} in {root}")
     stem = f"{workload}-seed{seed}-trace{trace}"
@@ -54,14 +53,14 @@ def summarise(records: list) -> dict:
     return out
 
 
-def measure(root: Path, env: dict, backend: str, workloads, seeds, seconds) -> dict:
+def measure(root: Path, backend: str, workloads, seeds, seconds) -> dict:
     """Per workload: one kernel's result over the seeds, untraced and traced."""
     results = {}
     for workload in workloads:
         runs = {0: [], 1: []}
         for seed in seeds:
             for trace in runs:
-                record = run_bench(root, env, workload, seed, seconds, trace)
+                record = run_bench(root, workload, seed, seconds, trace)
                 if record["backend"] != backend:
                     raise SystemExit(f"{workload} seed {seed} ran the {record['backend']} "
                                      f"kernel, not {backend}")
@@ -106,20 +105,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     workloads = args.workload or names
 
-    pure_env = dict(os.environ, ETSKIT_PURE="1")
-    results = {"pure": measure(ROOT, pure_env, "pure", workloads, args.seeds, args.seconds)}
-    c_env = {k: v for k, v in os.environ.items() if k != "ETSKIT_PURE"}
-    with tempfile.TemporaryDirectory(prefix="etskit-bench-") as tmp:
-        copy = Path(tmp)
-        for name in COPIED:
-            src = ROOT / name
-            if src.is_dir():
-                shutil.copytree(src, copy / name, ignore=IGNORED)
-            else:
-                shutil.copy2(src, copy / name)
-        subprocess.run([sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
-                       cwd=copy, env=c_env, check=True, stdout=subprocess.DEVNULL)
-        results["c"] = measure(copy, c_env, "c", workloads, args.seeds, args.seconds)
+    results = {}
+    for backend in ("pure", "c"):
+        with tempfile.TemporaryDirectory(prefix=f"etskit-bench-{backend}-") as tmp:
+            copy = Path(tmp)
+            for name in COPIED:
+                src = ROOT / name
+                if src.is_dir():
+                    shutil.copytree(src, copy / name, ignore=IGNORED)
+                else:
+                    shutil.copy2(src, copy / name)
+            if backend == "c":
+                subprocess.run([sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
+                               cwd=copy, check=True, stdout=subprocess.DEVNULL)
+            results[backend] = measure(copy, backend, workloads, args.seeds, args.seconds)
 
     commit, dirty = git_commit()
     args.out.mkdir(parents=True, exist_ok=True)

@@ -151,15 +151,18 @@ def from_text(text: str) -> NormalGraph:
         raise GraphConstraintError(f"line {header_no}: expected {m} edge lines, got {len(rows) - 1}")
     first_line: dict[tuple[int, int], int] = {}  # NormalGraph drops a repeat
     for lineno, row in rows[1:]:
-        if len(row) != 2 or not row[0] < row[1]:
-            raise GraphConstraintError(f"line {lineno}: expected an edge 'i j' with i < j")
+        if len(row) != 2 or not row[0] < row[1] < nn:
+            raise GraphConstraintError(f"line {lineno}: expected an edge 'i j' with i < j < {nn}")
         edge = (row[0], row[1])
         if edge in first_line:
             raise GraphConstraintError(
                 f"line {lineno}: duplicate of the edge on line {first_line[edge]}"
             )
         first_line[edge] = lineno
-    return NormalGraph(nn, first_line)
+    try:  # with the edges checked, NormalGraph rejects only the header: n < 1, disconnected
+        return NormalGraph(nn, first_line)
+    except GraphConstraintError as exc:
+        raise GraphConstraintError(f"line {header_no}: {exc}") from None
 
 
 def to_graph6(n: NormalGraph) -> str:

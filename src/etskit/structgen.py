@@ -377,8 +377,8 @@ def generate_forms(
     """All connected graphs on ``a`` nodes, ``m`` edges, degrees in
     [2, max_deg], normal girth at least ``min_normal_girth``; one canonical
     form per isomorphism class, sorted."""
-    if min_normal_girth >= 4 and m > a * a // 4:
-        return []  # Mantel: a triangle-free graph on a nodes has <= a^2/4 edges
+    if a < 1 or (min_normal_girth >= 4 and m > a * a // 4):
+        return []  # no nodes; or Mantel: a triangle-free graph has <= a^2/4 edges
     total_pairs = a * (a - 1) // 2
     if min_normal_girth == 3 and m > total_pairs // 2:
         # grow the complement, whose degrees lie in [a - 1 - max_deg, a - 3]

@@ -203,6 +203,19 @@ def test_search_prints_empty_table(tmp_path, capsys):
     )
 
 
+def test_search_code_without_cycles(tmp_path, capsys):
+    # two variables, each on three checks of its own: a forest, so no girth
+    alist = tmp_path / "tree.alist"
+    alist.write_text("2 6\n3 1\n3 3\n1 1 1 1 1 1\n1 2 3\n4 5 6\n1\n1\n1\n2\n2\n2\n")
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "search", "--alist", str(alist), "--k", "4",
+                               "--max-cycle-len", "8", "--out", str(out))
+    assert code == 0 and stderr == ""
+    assert stdout == "code tree: d_l=3 girth=-1 k=4 max_len=8\nno trapping sets found\n"
+    data = json.loads(out.read_text())
+    assert data["g"] == -1 and data["classes"] == []
+
+
 def test_search_bad_alist(tmp_path, capsys):
     alist = tmp_path / "bad.alist"
     alist.write_text("2 3\n3 2\n3 3\n2 2 2\n1 2 2\n1 2 3\n1 2\n1 2\n2\n")

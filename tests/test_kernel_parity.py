@@ -191,7 +191,6 @@ def test_compiled_module_without_kernel_names_falls_back_to_pure(monkeypatch):
     # an importable etskit._ckernel that lacks canonical_bits, as the stub of
     # a zipped egg install is, must not break `import etskit`
     active = kernel.backend()
-    monkeypatch.delenv("ETSKIT_PURE", raising=False)
     monkeypatch.setitem(sys.modules, "etskit._ckernel", types.ModuleType("etskit._ckernel"))
     try:
         importlib.reload(kernel)

@@ -185,8 +185,11 @@ def test_text_round_trip(prism):
         ("2 x\n", "line 1: non-integer token in ['2', 'x']"),
         ("3 2\n\n0 1\n1 +2\n", "line 4: non-integer token in ['1', '+2']"),
         ("3 2\n0 1\n1 \u0662\n", "line 3: non-integer token in ['1', '\u0662']"),
-        ("3 2\n0 1\n2 1\n", "line 3: expected an edge 'i j' with i < j"),
-        ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'i j' with i < j"),
+        ("3 2\n0 1\n2 1\n", "line 3: expected an edge 'i j' with i < j < 3"),
+        ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'i j' with i < j < 3"),
+        ("3 1\n0 5\n", "line 2: expected an edge 'i j' with i < j < 3"),
+        ("0 0\n", "line 1: normal graph needs at least one node"),
+        ("4 2\n0 1\n2 3\n", "line 1: normal graph must be connected"),
         # NormalGraph would drop the repeat and to_text would write "3 2"
         ("3 3\n0 1\n0 1\n1 2\n", "line 3: duplicate of the edge on line 2"),
         ("\n\n3\n", "line 3: expected 'n m' header"),

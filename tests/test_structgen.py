@@ -219,6 +219,8 @@ def test_tie_one_twins_share_pair_key():
         (8, 7, 4),  # m < a: some node has degree below 2
         (6, 16, 5),  # m > C(6,2): the complement has -1 edges
         (2, 1, 3),  # K2, a complement root whose cap a - 3 is -1
+        (0, 0, 3),  # no nodes: the empty root would be labelled
+        (-1, 0, 3),  # a negative node count
     ],
 )
 def test_out_of_range_edge_counts_make_no_kernel_call(monkeypatch, a, m, max_deg):
